@@ -234,28 +234,65 @@ def compare_theta_rational(theta: IrrationalNumber, r: ReducedFraction) -> int:
 
     Uses the convergent sandwich β₀ < β₂ < … < θ < … < β₃ < β₁: as soon as r
     falls outside the open interval (β_{2i}, β_{2i+1}) the answer is forced.
-    Equality never occurs (θ is irrational).  For FinitePrefix sources a
-    PrecisionExhausted escapes when the known quotients do not decide.
+    Each test cross-multiplies r with the raw convergent integers (every
+    denominator is positive).  Equality never occurs (θ is irrational).  For
+    FinitePrefix sources a PrecisionExhausted escapes when the known
+    quotients do not decide.
     """
     if r.is_infinite:
         return LESS  # θ < ∞ on the real line
+    p, q = r.p, r.q
     i = 0
     while True:
-        even = theta.convergent(2 * i)
-        odd = theta.convergent(2 * i + 1)
-        if r <= even:
+        p_even, q_even = theta.convergent_pair(2 * i)
+        p_odd, q_odd = theta.convergent_pair(2 * i + 1)
+        if p * q_even <= p_even * q:
             return GREATER
-        if odd <= r:
+        if p_odd * q <= p * q_odd:
             return LESS
         # Once the sandwich denominator exceeds r's, one more step decides.
-        if odd.q > r.q and even.q > r.q:
+        if q_odd > q and q_even > q:
             # r strictly inside (β_{2i}, β_{2i+1}) with larger denominators
             # on both ends: the next convergent splits the gap.
-            even2 = theta.convergent(2 * i + 2)
-            if r <= even2:
+            p_next, q_next = theta.convergent_pair(2 * i + 2)
+            if p * q_next <= p_next * q:
                 return GREATER
             return LESS
         i += 1
+
+
+def common_prefix(x: IrrationalNumber, y: IrrationalNumber) -> tuple:
+    """(k, (p_{k−1}, q_{k−1}), (p_{k−2}, q_{k−2})) for distinct x and y.
+
+    k is the first index where the partial quotients of x and y differ; the
+    pairs are the last two convergents of the quotients a₀ … a_{k−1} they
+    share, starting from (1, 0) and (0, 1) when k = 0.  Canonical
+    EventuallyPeriodic values that differ also differ in some quotient, so
+    the scan ends; a FinitePrefix that runs out first raises
+    PrecisionExhausted, even when both prefixes are the same.
+    """
+    if isinstance(x, EventuallyPeriodic) and x == y:
+        raise ValueError("slopes must be distinct")
+    prev, prev2 = (1, 0), (0, 1)
+    k = 0
+    while x.quotient(k) == y.quotient(k):
+        a = x.quotient(k)
+        prev, prev2 = (a * prev[0] + prev2[0], a * prev[1] + prev2[1]), prev
+        k += 1
+    return k, prev, prev2
+
+
+def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
+    """Exact order of two distinct irrationals: +1 when x > y, −1 when x < y.
+
+    Decided at the first index k where the quotients differ: the complete
+    quotient at k lies strictly between a_k and a_k + 1, so the larger a_k
+    gives the larger number when k is even and the smaller one when k is odd.
+    """
+    k, _, _ = common_prefix(x, y)
+    if (x.quotient(k) < y.quotient(k)) == (k % 2 == 0):
+        return LESS
+    return GREATER
 
 
 def theta_lt(theta: IrrationalNumber, r: ReducedFraction) -> bool:

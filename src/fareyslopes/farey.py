@@ -20,9 +20,9 @@ from functools import lru_cache
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Optional, Union
 
-from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
+from .cfrac import GREATER, LESS, IrrationalNumber, common_prefix, compare_irrationals, compare_theta_rational
 from .errors import NoPath
-from .exact import INFINITY, ReducedFraction
+from .exact import ReducedFraction
 from .lattice import chi, norm_to_fraction, theta_norm, ThetaLatticeElement
 
 Slope = Union[ReducedFraction, IrrationalNumber]
@@ -52,27 +52,19 @@ __all__ = [
 
 
 def slope_lt(a: Slope, b: Slope) -> bool:
-    """Exact a < b on the real line (infinity greatest), any kinds."""
+    """Exact a < b on the real line (infinity greatest), any kinds.
+
+    Two irrationals are ordered by their first differing partial quotient
+    a_k, b_k: a < b when a_k < b_k at even k and when a_k > b_k at odd k.
+    Equal irrationals raise ValueError.
+    """
     if isinstance(a, ReducedFraction):
         if isinstance(b, ReducedFraction):
             return a < b
         return compare_theta_rational(b, a) == GREATER
     if isinstance(b, ReducedFraction):
         return compare_theta_rational(a, b) == LESS
-    return _irrational_below(a, b)
-
-
-def _irrational_below(a: IrrationalNumber, b: IrrationalNumber) -> bool:
-    """a < b for distinct irrationals: some convergent of a separates them."""
-    if a == b:
-        raise ValueError("slopes must be distinct")
-    for i in range(512):
-        c = a.convergent(i)
-        sa = compare_theta_rational(a, c)
-        sb = compare_theta_rational(b, c)
-        if sa != sb:
-            return sa == LESS
-    raise AssertionError("slopes agree to depth 512; are they equal?")
+    return compare_irrationals(a, b) == LESS
 
 
 def _strictly_between(x: ReducedFraction, lo: ReducedFraction, hi: ReducedFraction) -> bool:
@@ -378,22 +370,30 @@ def farey_diagram(theta: IrrationalNumber, r: Slope, depth: int) -> FareyDiagram
     return _two_ended_diagram(theta, r, depth)
 
 
-def _base_edge(theta: Slope, r: IrrationalNumber) -> tuple[ReducedFraction, ReducedFraction]:
-    """First finite Farey edge straddling r but not theta.
+def _base_edge(theta: IrrationalNumber, r: IrrationalNumber) -> tuple[ReducedFraction, ReducedFraction]:
+    """First finite Farey edge straddling r but not theta, as (lo, hi).
 
-    Stern-Brocot descent toward r, starting from the unit interval
-    containing r (the leading partial quotient of r is its floor, so this
-    works for negative slopes too), until theta falls outside.
+    This is the first interval of the Stern-Brocot descent toward r, started
+    at (b0, b0 + 1) with b0 = floor(r), that leaves theta out.  Let k be the
+    first index where the quotients a_k of theta and b_k of r differ.  For
+    k = 0 the edge is (b0, b0 + 1).  Otherwise the deepest interval holding
+    both slopes has mediant m = [common prefix; c + 1] with c = min(a_k, b_k),
+    the simplest fraction between them, and the edge is its child on r's
+    side: m with the semiconvergent [common prefix; c] when b_k is the
+    smaller quotient, m with the convergent [common prefix] otherwise.
     """
-    a0 = r.quotient(0)
-    lo, hi = ReducedFraction(a0, 1), ReducedFraction(a0 + 1, 1)
-    while _inside(theta, lo, hi):
-        m = lo.mediant(hi)
-        if compare_theta_rational(r, m) == GREATER:
-            lo = m
-        else:
-            hi = m
-    return lo, hi
+    k, prev, prev2 = common_prefix(theta, r)
+    b = r.quotient(k)
+    if k == 0:
+        return ReducedFraction(b, 1), ReducedFraction(b + 1, 1)
+    c = min(theta.quotient(k), b)
+    other = _extend_prefix(prev, prev2, c) if b == c else ReducedFraction(*prev)
+    return _sorted_pair(_extend_prefix(prev, prev2, c + 1), other)
+
+
+def _extend_prefix(prev: tuple[int, int], prev2: tuple[int, int], t: int) -> ReducedFraction:
+    """The fraction [common prefix; t] from the prefix's last two convergents."""
+    return ReducedFraction(t * prev[0] + prev2[0], t * prev[1] + prev2[1])
 
 
 def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int) -> FareyDiagram:
@@ -464,53 +464,20 @@ def cutting_sequence(theta: IrrationalNumber, depth: int) -> CuttingSequence:
 
     The walk starts at the ideal triangle (0, 1, oo) and crosses one Farey
     edge per step toward theta; each triangle contributes one letter: L if
-    two of its vertices sit below theta, R otherwise.  (The far end of the
-    cutting geodesic is -1/theta < 0, below every vertex the walk can
-    reach, so plain comparison with theta decides the letter.)  The last
-    run is complete because the walk continues until the next letter flips.
+    two of its vertices sit below theta, R otherwise.  The walk turns the
+    same way while it descends through one partial quotient, so the runs
+    are read off the quotients: L a0, R a1, L a2, ... for a0 >= 1, and
+    R a1, L a2, ... for 0 < theta < 1.  A slope with a0 < 0 is first
+    translated to a0 = 0, and the result stores the translated slope.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     a0 = theta.quotient(0)
     if a0 < 0:
         theta = theta.translated(-a0)
-        a0 = 0
-    runs: list[tuple[str, int]] = []
-    current: Optional[str] = None
-    count = 0
-    for letter in _cutting_letters(theta, a0):
-        if letter == current:
-            count += 1
-            continue
-        if current is not None:
-            runs.append((current, count))
-            if len(runs) == depth:
-                return CuttingSequence(theta, tuple(runs))
-        current, count = letter, 1
-    raise AssertionError("unreachable: the cutting walk is infinite")
-
-
-def _cutting_letters(theta: IrrationalNumber, a0: int) -> Iterator[str]:
-    assert a0 >= 0
-
-    def below(v: ReducedFraction) -> bool:
-        return compare_theta_rational(theta, v) == GREATER
-
-    # fan triangles (n, n+1, oo) for n = 0..a0
-    for n in range(a0 + 1):
-        two_below = below(ReducedFraction(n, 1)) and below(ReducedFraction(n + 1, 1))
-        yield "L" if two_below else "R"
-    # mediant descent inside (a0, a0+1)
-    lo, hi = ReducedFraction(a0, 1), ReducedFraction(a0 + 1, 1)
-    while True:
-        m = lo.mediant(hi)
-        n_below = sum(1 for v in (lo, m, hi) if below(v))
-        assert n_below in (1, 2)
-        yield "L" if n_below == 2 else "R"
-        if compare_theta_rational(theta, m) == GREATER:
-            lo = m
-        else:
-            hi = m
+    first = 0 if a0 >= 1 else 1
+    runs = tuple(("R" if j % 2 else "L", theta.quotient(j)) for j in range(first, first + depth))
+    return CuttingSequence(theta, runs)
 
 
 # --------------------------------------------------------------------------
@@ -719,24 +686,16 @@ def _bracket_on_line(far: Slope, x: IrrationalNumber, theta: IrrationalNumber) -
 def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction:
     """The unique simplest fraction strictly between theta and theta2.
 
-    Smallest denominator, ties broken toward the smaller fraction; found
-    by Stern-Brocot mediant descent, which visits candidates in exactly
-    that order.  Requires theta < theta2.
+    Smallest denominator, ties broken toward the smaller fraction.  With k
+    the first index where the partial quotients a_k, b_k differ, it is the
+    common prefix followed by min(a_k, b_k) + 1: [a0; a1, ..., a_{k-1},
+    min(a_k, b_k) + 1] (for k = 0 the integer min(a0, b0) + 1).  Requires
+    theta < theta2.
     """
-    if theta == theta2:
-        raise ValueError("slopes must be distinct")
-    if not _irrational_below(theta, theta2):
+    if compare_irrationals(theta, theta2) != LESS:
         raise ValueError("need theta < theta2")
-    lo = ReducedFraction(theta.quotient(0), 1)
-    hi = INFINITY
-    while True:
-        m = lo.mediant(hi)
-        if compare_theta_rational(theta, m) == GREATER:
-            lo = m
-        elif compare_theta_rational(theta2, m) == LESS:
-            hi = m
-        else:
-            return m
+    k, prev, prev2 = common_prefix(theta, theta2)
+    return _extend_prefix(prev, prev2, min(theta.quotient(k), theta2.quotient(k)) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -822,10 +781,7 @@ def roller_coaster(theta: IrrationalNumber, depth: int) -> RollerCoaster:
         if key in labels:
             assert classes[key] == cls or cls == "interior"
             return
-        dp, dq = b.p - a.p, b.q - a.q
-        if dq < 0 or (dq == 0 and dp < 0):
-            dp, dq = -dp, -dq
-        labels[key] = ReducedFraction(dp, dq)
+        labels[key] = _difference_vertex(b, a)
         classes[key] = cls
 
     for i in range(-1, depth + 1):

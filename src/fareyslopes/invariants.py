@@ -36,15 +36,6 @@ class LowerBoundOnly:
     last: int
 
 
-@dataclass(frozen=True)
-class Infinite:
-    """Declared for completeness; never emitted (certifying c = ∞ from a
-    finite prefix is out of scope — a strictly increasing chain is only
-    evidence, which LowerBoundOnly already carries)."""
-
-    witness: tuple
-
-
 @dataclass
 class CThetaReport:
     theta: IrrationalNumber

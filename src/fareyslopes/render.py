@@ -72,43 +72,34 @@ def _svg_xy(pt: Tuple[float, float]) -> Tuple[float, float]:
     return (pt[0], -pt[1])
 
 
-def _disc_edge(a: ReducedFraction, b: ReducedFraction, style: dict, cls: str) -> str:
-    """One geodesic as an SVG path, with its circle centre in data attrs."""
+def _disc_arc(a: ReducedFraction, b: ReducedFraction) -> Tuple[str, Optional[Tuple[float, float]]]:
+    """Path continuation from a's point to b's point (no leading M), and the
+    arc's circle centre in SVG coordinates (None for a diameter)."""
     A, B = _circle_point(a), _circle_point(b)
-    ax, ay = _svg_xy(A)
     bx, by = _svg_xy(B)
     dot = A[0] * B[0] + A[1] * B[1]
+    if abs(1 + dot) < 1e-12:
+        return f"L {_fmt(bx)} {_fmt(by)}", None
+    cx, cy = (A[0] + B[0]) / (1 + dot), (A[1] + B[1]) / (1 + dot)
+    r = math.sqrt(cx * cx + cy * cy - 1)
+    sweep = 1 if (A[0] - cx) * (B[1] - cy) - (A[1] - cy) * (B[0] - cx) < 0 else 0
+    return f"A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(bx)} {_fmt(by)}", _svg_xy((cx, cy))
+
+
+def _disc_edge(a: ReducedFraction, b: ReducedFraction, style: dict, cls: str) -> str:
+    """One geodesic as an SVG path, with its circle centre in data attrs."""
+    ax, ay = _svg_xy(_circle_point(a))
+    segment, centre = _disc_arc(a, b)
     common = (
         f'class="{cls}" fill="none" stroke="{style["stroke"]}" '
         f'stroke-width="{_fmt(style["stroke_width"])}"'
     )
-    if abs(1 + dot) < 1e-12:
-        return (
-            f'<path d="M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}" '
-            f'data-kind="diameter" {common}/>'
-        )
-    cx, cy = (A[0] + B[0]) / (1 + dot), (A[1] + B[1]) / (1 + dot)
-    r = math.sqrt(cx * cx + cy * cy - 1)
-    sweep = 1 if (A[0] - cx) * (B[1] - cy) - (A[1] - cy) * (B[0] - cx) < 0 else 0
-    scx, scy = _svg_xy((cx, cy))
+    if centre is None:
+        return f'<path d="M {_fmt(ax)} {_fmt(ay)} {segment}" data-kind="diameter" {common}/>'
     return (
-        f'<path d="M {_fmt(ax)} {_fmt(ay)} A {_fmt(r)} {_fmt(r)} 0 0 {sweep} '
-        f'{_fmt(bx)} {_fmt(by)}" data-kind="arc" data-cx="{_fmt(scx)}" '
-        f'data-cy="{_fmt(scy)}" {common}/>'
+        f'<path d="M {_fmt(ax)} {_fmt(ay)} {segment}" data-kind="arc" '
+        f'data-cx="{_fmt(centre[0])}" data-cy="{_fmt(centre[1])}" {common}/>'
     )
-
-
-def _disc_arc_segment(a: ReducedFraction, b: ReducedFraction) -> str:
-    """Path continuation from a's point to b's point (no leading M)."""
-    A, B = _circle_point(a), _circle_point(b)
-    bx, by = _svg_xy(B)
-    dot = A[0] * B[0] + A[1] * B[1]
-    if abs(1 + dot) < 1e-12:
-        return f"L {_fmt(bx)} {_fmt(by)}"
-    cx, cy = (A[0] + B[0]) / (1 + dot), (A[1] + B[1]) / (1 + dot)
-    r = math.sqrt(cx * cx + cy * cy - 1)
-    sweep = 1 if (A[0] - cx) * (B[1] - cy) - (A[1] - cy) * (B[0] - cx) < 0 else 0
-    return f"A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(bx)} {_fmt(by)}"
 
 
 def _disc_triangle(tri: FareyTriangle, style: dict) -> str:
@@ -117,9 +108,9 @@ def _disc_triangle(tri: FareyTriangle, style: dict) -> str:
     d = " ".join(
         [
             f"M {_fmt(ux)} {_fmt(uy)}",
-            _disc_arc_segment(u, v),
-            _disc_arc_segment(v, w),
-            _disc_arc_segment(w, u),
+            _disc_arc(u, v)[0],
+            _disc_arc(v, w)[0],
+            _disc_arc(w, u)[0],
             "Z",
         ]
     )

@@ -154,9 +154,72 @@ def game_rest_positions(theta, r, c, d, n):
     return tuple(iv.vertex for iv in occupied)
 
 
+def cutting_runs_descent(theta: IrrationalNumber, depth: int):
+    """First `depth` runs of the cutting walk toward theta, letter by letter.
+
+    Slopes with a0 < 0 are translated to a0 = 0 first.  The walk crosses
+    the fan triangles (n, n+1, oo) for n = 0..a0, then descends by mediants
+    inside (a0, a0+1); a triangle reads L when two of its vertices sit below
+    theta and R otherwise.  A run is complete when the next letter flips.
+    """
+    a0 = theta.quotient(0)
+    if a0 < 0:
+        theta = theta.translated(-a0)
+        a0 = 0
+
+    def below(v: ReducedFraction) -> bool:
+        return compare_theta_rational(theta, v) == GREATER
+
+    def letters():
+        for n in range(a0 + 1):
+            yield "L" if below(ReducedFraction(n, 1)) and below(ReducedFraction(n + 1, 1)) else "R"
+        lo, hi = ReducedFraction(a0, 1), ReducedFraction(a0 + 1, 1)
+        while True:
+            m = lo.mediant(hi)
+            n_below = sum(1 for v in (lo, m, hi) if below(v))
+            assert n_below in (1, 2)
+            yield "L" if n_below == 2 else "R"
+            if below(m):
+                lo = m
+            else:
+                hi = m
+
+    runs = []
+    current, count = None, 0
+    for letter in letters():
+        if letter == current:
+            count += 1
+            continue
+        if current is not None:
+            runs.append((current, count))
+            if len(runs) == depth:
+                return tuple(runs)
+        current, count = letter, 1
+
+
+def base_edge_descent(theta: IrrationalNumber, r: IrrationalNumber):
+    """First finite Farey edge (lo, hi) straddling r but not theta: the
+    Stern-Brocot descent toward r from (floor(r), floor(r) + 1), one mediant
+    at a time, until theta falls outside."""
+    a0 = r.quotient(0)
+    lo, hi = ReducedFraction(a0, 1), ReducedFraction(a0 + 1, 1)
+    while (
+        compare_theta_rational(theta, lo) == GREATER
+        and compare_theta_rational(theta, hi) == LESS
+    ):
+        m = lo.mediant(hi)
+        if compare_theta_rational(r, m) == GREATER:
+            lo = m
+        else:
+            hi = m
+    return lo, hi
+
+
 def cutting_runs_expected(theta: IrrationalNumber, depth: int):
     """Run-length calibration: above 1 the runs are a_0, a_1, ... starting
-    with L; inside (0,1) they are a_1, a_2, ... starting with R."""
+    with L; inside (0,1) they are a_1, a_2, ... starting with R.  This is
+    the rule `cutting_sequence` itself implements; `cutting_runs_descent`
+    is the independent walk."""
     if theta.quotient(0) >= 1:
         lengths = [theta.quotient(i) for i in range(depth)]
         first = "L"

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import fareyslopes
 from fareyslopes.cfrac import EventuallyPeriodic
 from fareyslopes.cli import main
 from fareyslopes.division import beads, divide, division_points, root_interval, ses_check
@@ -32,6 +37,20 @@ def test_bottom_example(capsys):
     code, out, _ = run(capsys, "farey", "bottom", "[1;(2)]", "[1;(1)]")
     assert code == 0
     assert json.loads(out) == "3/2"
+
+
+def test_bottom_past_600_shared_quotients():
+    # run as its own process, as a user would, so a traceback would show
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
+    argv = ["farey", "bottom", "[1;" + "1," * 600 + "(2)]", "[1;(1)]"]
+    done = subprocess.run(
+        [sys.executable, "-m", "fareyslopes.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    value = Fraction(2)  # [1;1x600,2]
+    for _ in range(601):
+        value = 1 + 1 / value
+    assert json.loads(done.stdout) == f"{value.numerator}/{value.denominator}"
 
 
 def test_bad_input_exits_two(capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from fareyslopes.errors import NoPath
 from fareyslopes.exact import INFINITY, ReducedFraction as F
 from fareyslopes.farey import (
     FareyTriangle,
+    _base_edge,
     bottom,
     cutting_sequence,
     farey_diagram,
@@ -21,6 +23,8 @@ from fareyslopes.farey import (
 from fareyslopes.lattice import theta_norm
 
 from _oracles import (
+    base_edge_descent,
+    cutting_runs_descent,
     cutting_runs_expected,
     interior_lattice_points,
     boundary_lattice_points,
@@ -37,6 +41,21 @@ tiny = EventuallyPeriodic((0,), (10,))      # ~0.0990
 x138 = EventuallyPeriodic((1, 2, 1), (2,))  # ~1.3694
 zeta1 = EventuallyPeriodic((0,), (2,))      # sqrt2 - 1
 zeta2 = EventuallyPeriodic((0,), (1, 2))    # sqrt3 - 1
+golden601 = EventuallyPeriodic((1,) + (1,) * 600, (2,))  # shares 601 quotients with golden
+
+
+def _shared_prefix_pair(rng):
+    """Two random slopes agreeing on a random prefix (a0 in -5..5, up to
+    twelve more quotients), or, one time in five, two unrelated slopes."""
+    if rng.random() < 0.2:
+        return random_theta(rng, lo=-3, hi=3), random_theta(rng, lo=-3, hi=3)
+    shared = [rng.randint(-5, 5)] + [rng.randint(1, 6) for _ in range(rng.randint(0, 12))]
+
+    def slope():
+        pre = shared + [rng.randint(1, 6) for _ in range(rng.randint(0, 3))]
+        return EventuallyPeriodic(pre, [rng.randint(1, 6) for _ in range(rng.randint(1, 3))])
+
+    return slope(), slope()
 
 
 # -- triangles and division vertices ------------------------------------------
@@ -108,6 +127,17 @@ def test_golden_five_halves_diagram():
     ]
     assert d.triangles[0][1] == "Start"
     assert d.triangles[1][1] == "L"
+
+
+def test_base_edge_matches_descent():
+    rng = random.Random(21)
+    done = 0
+    while done < 300:
+        theta, r = _shared_prefix_pair(rng)
+        if theta == r:
+            continue
+        assert _base_edge(theta, r) == base_edge_descent(theta, r)
+        done += 1
 
 
 def test_two_ended_diagram():
@@ -196,6 +226,19 @@ def test_cutting_sequence_calibration():
         theta = random_theta(rng)
         got = cutting_sequence(theta, 10).runs
         assert got == cutting_runs_expected(theta, 10)
+        assert got == cutting_runs_descent(theta, 10)
+    # large partial quotients and negative a0 against the letter-by-letter walk
+    for theta in (
+        EventuallyPeriodic((-7,), (10**4, 1)),
+        EventuallyPeriodic((3, 2, 9999), (1, 2)),
+        EventuallyPeriodic((0, 1), (5000, 3)),
+        EventuallyPeriodic((-2, 10**4, 3), (7,)),
+    ):
+        assert cutting_sequence(theta, 4).runs == cutting_runs_descent(theta, 4)
+    for _ in range(20):
+        pre = [rng.randint(-4, 4)] + [rng.choice((1, 2, 9, 60, 700)) for _ in range(3)]
+        theta = EventuallyPeriodic(pre, [rng.choice((1, 3, 400))])
+        assert cutting_sequence(theta, 5).runs == cutting_runs_descent(theta, 5)
 
 
 def test_cutting_sequence_negative_slope():
@@ -267,6 +310,16 @@ def test_bottom_goldens():
     assert bottom(zeta1, zeta2) == F(1, 2)
     with pytest.raises(ValueError):
         bottom(golden, sqrt2)  # arguments out of order
+
+
+def test_order_and_bottom_past_600_shared_quotients():
+    # the first difference is at index 601 (odd): the larger quotient 2
+    # makes golden601 the smaller slope
+    assert slope_lt(golden601, golden) and not slope_lt(golden, golden601)
+    value = Fraction(2)  # [1;1x600,2], evaluated from the last quotient up
+    for _ in range(601):
+        value = 1 + 1 / value
+    assert bottom(golden601, golden) == F(value.numerator, value.denominator)
 
 
 def test_bottom_matches_denominator_sweep():
@@ -376,3 +429,4 @@ def test_shortest_path_bundle():
         shortest_path_bundle(rc3, F(8, 5), F(1, 1))  # edges point upward
     with pytest.raises(NoPath):
         shortest_path_bundle(rc3, F(1, 7), F(8, 5))  # not a vertex
+

@@ -1,0 +1,52 @@
+"""FinitePrefix truncations of eventually periodic slopes: each answer of
+`slope_lt`, `bottom` and `cutting_sequence` matches the full slope's, or
+PrecisionExhausted names a depth that lets a longer prefix make progress."""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
+from fareyslopes.errors import PrecisionExhausted
+from fareyslopes.farey import bottom, cutting_sequence, slope_lt
+
+_QUOTIENT = st.integers(1, 9)
+
+
+@st.composite
+def _slope_pairs(draw):
+    """Two eventually periodic slopes with a shared prefix of up to 40
+    quotients and long preperiods; a0 may be negative, and the second
+    slope's a0 is sometimes shifted so the pair differs at once."""
+    shared = [draw(st.integers(-6, 6))] + draw(st.lists(_QUOTIENT, max_size=40))
+
+    def slope(shift):
+        pre = [shared[0] + shift] + shared[1:] + draw(st.lists(_QUOTIENT, max_size=12))
+        return EventuallyPeriodic(pre, draw(st.lists(_QUOTIENT, min_size=1, max_size=4)))
+
+    x, y = slope(0), slope(draw(st.sampled_from((0, 0, 0, 1, -2))))
+    assume(x != y)
+    return x, y
+
+
+def _answer_from_prefixes(fn, slopes, lengths):
+    """Call fn on FinitePrefix truncations of `slopes`; on PrecisionExhausted
+    lengthen every truncation to needed_depth and call again.  Each needed
+    depth must exceed the shortest truncation and every earlier one."""
+    last = 0
+    while True:
+        try:
+            return fn(*(FinitePrefix([s.quotient(i) for i in range(n)]) for s, n in zip(slopes, lengths)))
+        except PrecisionExhausted as exc:
+            assert exc.needed_depth > max(last, min(lengths))
+            last = exc.needed_depth
+            lengths = [max(n, last) for n in lengths]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_slope_pairs(), st.integers(1, 60), st.integers(1, 60), st.integers(1, 8))
+def test_finite_prefix_matches_or_exhausts(pair, n1, n2, depth):
+    x, y = pair
+    lo, hi = (x, y) if slope_lt(x, y) else (y, x)
+    assert _answer_from_prefixes(slope_lt, (x, y), (n1, n2)) == slope_lt(x, y)
+    assert _answer_from_prefixes(bottom, (lo, hi), (n1, n2)) == bottom(lo, hi)
+    runs = _answer_from_prefixes(lambda t: cutting_sequence(t, depth).runs, (x,), (n1,))
+    assert runs == cutting_sequence(x, depth).runs
