@@ -8,8 +8,11 @@ drift to accumulate.
 
 The geometric picture (hyperbolic geodesics crossing ideal triangles) is
 only a picture: each step of a walk is the combinatorial move "cross one
-edge of the current triangle", and which edge gets crossed is decided by
-interval membership of the two geodesic endpoints.
+edge of the current triangle".  All diagrams and products share one walk
+(`_walk`): its state is the edge just crossed, the next triangle's apex is
+the mediant or the difference vertex of that edge, whichever lies toward
+the target, and one arc test -- is the old upper vertex on the target's
+side of (lower, apex)? -- picks which end the apex replaces.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import itertools
 from collections import deque
 from functools import lru_cache
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Optional, Union
+from typing import Iterator, Literal, Optional, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, common_prefix, compare_irrationals, compare_theta_rational
-from .errors import NoPath
+from .errors import NoPath, PrecisionExhausted
 from .exact import ReducedFraction
 from .lattice import chi, norm_to_fraction, theta_norm, ThetaLatticeElement
 
@@ -149,30 +152,17 @@ class FareyTriangle:
 TriangleType = Literal["L", "R", "Start"]
 
 
-def _on_lower_arc(v: Slope, theta: Slope, far: Optional[Slope]) -> bool:
+def _on_lower_arc(v: Slope, theta: Slope, far: Slope) -> bool:
     """Is v on the arc of the (theta, far) chord that approaches theta from
     below?
 
-    With far absent (cutting walks: the far end is negative, below every
-    vertex) this is plain v < theta.  Otherwise the chord cuts the circle
-    Q u {oo} in two; the lower arc is the piece containing theta - eps,
-    which wraps through oo exactly when far > theta.
+    The chord cuts the circle Q u {oo} in two; the lower arc is the piece
+    containing theta - eps, which wraps through oo exactly when far > theta.
     """
     below_theta = slope_lt(v, theta)
-    if far is None:
-        return below_theta
     if slope_lt(far, theta):
         return below_theta and slope_lt(far, v)
     return below_theta or slope_lt(far, v)
-
-
-def _triangle_type(tri: FareyTriangle, theta: Slope, far: Optional[Slope]) -> TriangleType:
-    lower = sum(1 for v in tri.vertices if _on_lower_arc(v, theta, far))
-    if lower == 2:
-        return "L"
-    if lower == 1:
-        return "R"
-    raise ValueError(f"triangle {tri} is not split 2-1 by the chord toward {far}")
 
 
 # --------------------------------------------------------------------------
@@ -189,8 +179,8 @@ def left_right_vertices(
     positive and smaller than |r|, and the pairing chi(|l1|, |r|) = +1 (so
     chi(|r1|, |r|) = -1).  Solved with the extended Euclidean algorithm;
     the unique integer translate landing in the value window
-    (0, value(|r|)) is located with a float estimate and then corrected by
-    exact sign tests, so nothing depends on float accuracy.
+    (0, value(|r|)) is estimated with theta replaced by a convergent p/q
+    and then corrected by exact sign tests.
     """
     w = theta_norm(r, theta)
     # chi(x, w) = w.m * x.n - w.n * x.m = 1 is solvable since gcd(w.m, w.n)
@@ -199,9 +189,13 @@ def left_right_vertices(
     assert g == 1
     x = ThetaLatticeElement(-t, s, theta)
     assert chi(x, w) == 1
-    omega = w.value()
-    if omega:
-        x = x + w.scaled(int(-x.value() / omega))
+    # the smallest k with x + k*w > 0 at theta = p/q; |r| stays positive
+    # there, since r does not lie between theta and such a convergent (the
+    # deepest convergent of a FinitePrefix may; the loops then do it all)
+    p, q = _convergent_past(theta, r.q)
+    den = w.m * p + w.n * q
+    if den > 0:
+        x = x + w.scaled(-(x.m * p + x.n * q) // den + 1)
     while x.sign() <= 0:
         x = x + w
     while (x - w).sign() >= 0:
@@ -209,6 +203,23 @@ def left_right_vertices(
     y = w - x
     assert x.sign() > 0 and y.sign() > 0
     return norm_to_fraction(x), norm_to_fraction(y)
+
+
+def _convergent_past(theta: IrrationalNumber, q: int) -> tuple[int, int]:
+    """(p_i, q_i) two convergents past the first with denominator above q.
+
+    Fractions strictly between theta and p_i/q_i have denominators above
+    q_i, so no fraction of denominator q separates them, and the two extra
+    convergents keep the translate estimate within a step or so.  A
+    FinitePrefix that runs out first gives its deepest convergent.
+    """
+    i = 0
+    try:
+        while theta.convergent_pair(i)[1] <= q:
+            i += 1
+        return theta.convergent_pair(i + 2)
+    except PrecisionExhausted:
+        return theta.convergent_pair(theta.available_depth())
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -227,62 +238,72 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # --------------------------------------------------------------------------
-# crossing walks
+# the crossing walk
 
 
-@dataclass(frozen=True)
-class _WalkStep:
-    triangle: FareyTriangle
-    new_vertex: ReducedFraction  # the vertex this step exposed
+def _sorted_pair(a: ReducedFraction, b: ReducedFraction) -> tuple[ReducedFraction, ReducedFraction]:
+    return (a, b) if a < b else (b, a)
 
 
-def _other_apex(tri_apex: ReducedFraction, lo: ReducedFraction, hi: ReducedFraction) -> ReducedFraction:
-    """Apex of the second triangle over edge (lo, hi), given one apex."""
-    if _strictly_between(tri_apex, lo, hi) or (
-        hi.is_infinite and not tri_apex.is_infinite and lo < tri_apex
-    ):
-        return _difference_vertex(lo, hi)
-    return lo.mediant(hi)
+def _toward_apex(u: ReducedFraction, v: ReducedFraction, toward: Slope) -> ReducedFraction:
+    """Apex of the triangle over the edge (u, v) on the side containing `toward`."""
+    if _inside(toward, *_sorted_pair(u, v)):
+        return u.mediant(v)
+    return _difference_vertex(u, v)
 
 
-def _walk_from_edge(
-    toward: Slope,
-    far: Slope,
-    edge: tuple[ReducedFraction, ReducedFraction],
-    first_apex: ReducedFraction,
-) -> Iterator[_WalkStep]:
-    """Cross triangles starting on the `toward` side of `edge`.
+def _same_side(x: Slope, target: Slope, u: ReducedFraction, v: ReducedFraction) -> bool:
+    """Is x on the closed arc cut off by the edge (u, v) that holds target?
 
-    Yields each triangle with the vertex it exposes.  The exit edge of a
-    triangle is the unique non-entry edge separating `toward` from `far`
-    (exactly one of the two endpoints of the geodesic lies in the edge's
-    interval); edges incident to a rational geodesic endpoint only meet
-    the geodesic at infinity and are never crossed.
+    The endpoints split Q u {oo} into the open interval between them and its
+    complement through oo; they belong to both closed arcs.
     """
-    lo, hi = edge if edge[0] < edge[1] else (edge[1], edge[0])
-    tri = FareyTriangle((lo, hi, first_apex))
-    entry = frozenset((lo, hi))
-    yield _WalkStep(tri, first_apex)
+    if x in (u, v):
+        return True
+    lo, hi = _sorted_pair(u, v)
+    return _inside(x, lo, hi) == _inside(target, lo, hi)
+
+
+_Step = tuple[ReducedFraction, ReducedFraction, ReducedFraction, ReducedFraction]
+
+
+def _walk(lower: ReducedFraction, upper: ReducedFraction, toward: IrrationalNumber) -> Iterator[_Step]:
+    """Cross Farey triangles toward an irrational slope, from the edge
+    (lower, upper) just crossed.
+
+    Each triangle's third vertex, the apex, is the mediant or the difference
+    vertex of the edge, whichever lies on toward's side.  One arc test picks
+    the exit edge: (apex, upper) when upper lies on toward's side of
+    (lower, apex), else (lower, apex).  A crossed edge has one end on each
+    arc of the geodesic, so the apex takes the side of the vertex it
+    replaces.  Yields (lower, upper, apex, replaced) with (lower, upper) the
+    exit edge; the triangle is the exit edge plus the replaced vertex.  The
+    exit edge does not depend on which end is called lower; diagrams pass
+    the ends by arc to read each letter off the apex's side.
+    """
     while True:
-        exit_edge = None
-        for a, b in tri.edges():
-            if frozenset((a, b)) == entry:
-                continue
-            if isinstance(far, ReducedFraction) and far in (a, b):
-                continue
-            if isinstance(toward, ReducedFraction) and toward in (a, b):
-                continue
-            in_toward = _inside(toward, a, b)
-            in_far = _inside(far, a, b)
-            if in_toward != in_far:
-                assert exit_edge is None, f"two exit edges in {tri}"
-                exit_edge = (a, b)
-        assert exit_edge is not None, f"no exit edge from {tri}"
-        lo, hi = exit_edge
-        apex = next(x for x in tri.vertices if x not in exit_edge)
-        tri = FareyTriangle((lo, hi, _other_apex(apex, lo, hi)))
-        entry = frozenset(exit_edge)
-        yield _WalkStep(tri, next(x for x in tri.vertices if x not in exit_edge))
+        apex = _toward_apex(lower, upper, toward)
+        if _same_side(upper, toward, lower, apex):
+            lower, replaced = apex, lower
+        else:
+            upper, replaced = apex, upper
+        yield lower, upper, apex, replaced
+
+
+def _fan(
+    lower: ReducedFraction, upper: ReducedFraction, toward: IrrationalNumber, depth: int
+) -> tuple[list[tuple[FareyTriangle, TriangleType]], list[ReducedFraction], list[ReducedFraction]]:
+    """The first `depth` triangles of the walk with their letters, and the
+    vertices they expose on the upper ("l") and lower ("r") arcs."""
+    triangles: list[tuple[FareyTriangle, TriangleType]] = []
+    left: list[ReducedFraction] = []
+    right: list[ReducedFraction] = []
+    for lower, upper, apex, replaced in itertools.islice(_walk(lower, upper, toward), depth):
+        # a lower apex puts two of the triangle's vertices on the lower arc
+        apex_is_lower = apex == lower
+        triangles.append((FareyTriangle((lower, upper, replaced)), "L" if apex_is_lower else "R"))
+        (right if apex_is_lower else left).append(apex)
+    return triangles, left, right
 
 
 # --------------------------------------------------------------------------
@@ -321,31 +342,6 @@ class FareyDiagram:
         }
 
 
-_Label = tuple[int, ReducedFraction, str]  # (index, vertex, side)
-
-
-def _diagram_steps_rational(
-    theta: IrrationalNumber, r: ReducedFraction
-) -> Iterator[tuple[FareyTriangle, TriangleType, list[_Label]]]:
-    """Triangles of the diagram of (theta, r) with types and fresh labels."""
-    l1, r1 = left_right_vertices(theta, r)
-    start = FareyTriangle((r, l1, r1))
-    # chi sign and arc side agree by the sign identity; keep both honest
-    assert not _on_lower_arc(l1, theta, r) and _on_lower_arc(r1, theta, r)
-    yield start, "Start", [(1, l1, "l"), (1, r1, "r")]
-    next_index = {"l": 2, "r": 2}
-    walk = _walk_from_edge(theta, r, (l1, r1), _other_apex(r, *_sorted_pair(l1, r1)))
-    for step in walk:
-        side = "r" if _on_lower_arc(step.new_vertex, theta, r) else "l"
-        label = (next_index[side], step.new_vertex, side)
-        next_index[side] += 1
-        yield step.triangle, _triangle_type(step.triangle, theta, r), [label]
-
-
-def _sorted_pair(a: ReducedFraction, b: ReducedFraction) -> tuple[ReducedFraction, ReducedFraction]:
-    return (a, b) if a < b else (b, a)
-
-
 def farey_diagram(theta: IrrationalNumber, r: Slope, depth: int) -> FareyDiagram:
     """The Farey diagram of theta with far end r, truncated to `depth`.
 
@@ -356,18 +352,19 @@ def farey_diagram(theta: IrrationalNumber, r: Slope, depth: int) -> FareyDiagram
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(r, ReducedFraction):
-        tris: list[tuple[FareyTriangle, TriangleType]] = []
-        left: list[tuple[int, ReducedFraction]] = []
-        right: list[tuple[int, ReducedFraction]] = []
-        for tri, ty, labels in _diagram_steps_rational(theta, r):
-            tris.append((tri, ty))
-            for idx, vert, side in labels:
-                (left if side == "l" else right).append((idx, vert))
-            if len(tris) == depth:
-                break
-        return FareyDiagram(theta, r, tris, left, right)
-    return _two_ended_diagram(theta, r, depth)
+    if not isinstance(r, ReducedFraction):
+        return _two_ended_diagram(theta, r, depth)
+    l1, r1 = left_right_vertices(theta, r)
+    # chi sign and arc side agree by the sign identity; keep both honest
+    assert not _on_lower_arc(l1, theta, r) and _on_lower_arc(r1, theta, r)
+    triangles, left, right = _fan(r1, l1, theta, depth - 1)
+    return FareyDiagram(
+        theta,
+        r,
+        [(FareyTriangle((r, l1, r1)), "Start")] + triangles,
+        list(enumerate([l1] + left, 1)),
+        list(enumerate([r1] + right, 1)),
+    )
 
 
 def _base_edge(theta: IrrationalNumber, r: IrrationalNumber) -> tuple[ReducedFraction, ReducedFraction]:
@@ -400,38 +397,17 @@ def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int)
     if theta == r:
         raise ValueError("a diagram needs two distinct slopes")
     lo, hi = _base_edge(theta, r)
-    if _on_lower_arc(lo, theta, r):
-        l0, r0 = hi, lo
-    else:
-        l0, r0 = lo, hi
+    l0, r0 = (hi, lo) if _on_lower_arc(lo, theta, r) else (lo, hi)
     assert not _on_lower_arc(l0, theta, r) and _on_lower_arc(r0, theta, r)
-    left = [(0, l0)]
-    right = [(0, r0)]
-    toward_theta: list[tuple[FareyTriangle, TriangleType]] = []
-    idx = {"l": 1, "r": 1}
-    walk = _walk_from_edge(theta, r, (lo, hi), _toward_apex(lo, hi, theta))
-    for step in itertools.islice(walk, depth):
-        toward_theta.append((step.triangle, _triangle_type(step.triangle, theta, r)))
-        side = "r" if _on_lower_arc(step.new_vertex, theta, r) else "l"
-        (left if side == "l" else right).append((idx[side], step.new_vertex))
-        idx[side] += 1
-    toward_r: list[tuple[FareyTriangle, TriangleType]] = []
-    nidx = {"l": -1, "r": -1}
-    walk_r = _walk_from_edge(r, theta, (lo, hi), _toward_apex(lo, hi, r))
-    for step in itertools.islice(walk_r, depth):
-        toward_r.append((step.triangle, _triangle_type(step.triangle, theta, r)))
-        side = "r" if _on_lower_arc(step.new_vertex, theta, r) else "l"
-        (left if side == "l" else right).insert(0, (nidx[side], step.new_vertex))
-        nidx[side] -= 1
-    triangles = list(reversed(toward_r)) + toward_theta
-    return FareyDiagram(theta, r, triangles, left, right)
-
-
-def _toward_apex(lo: ReducedFraction, hi: ReducedFraction, toward: Slope) -> ReducedFraction:
-    """Apex of the triangle over (lo, hi) on the side containing `toward`."""
-    if _inside(toward, lo, hi):
-        return lo.mediant(hi)
-    return _difference_vertex(lo, hi)
+    ahead, ahead_l, ahead_r = _fan(r0, l0, theta, depth)
+    behind, behind_l, behind_r = _fan(r0, l0, r, depth)
+    return FareyDiagram(
+        theta,
+        r,
+        behind[::-1] + ahead,
+        list(enumerate(behind_l[::-1] + [l0] + ahead_l, -len(behind_l))),
+        list(enumerate(behind_r[::-1] + [r0] + ahead_r, -len(behind_r))),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -544,11 +520,14 @@ def farey_tree(theta: IrrationalNumber, r: ReducedFraction, depth: int) -> Farey
 def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
     """The slope whose diagram is the intersection of the two diagrams.
 
-    Rational operands: walk both diagrams toward theta until they first
-    share a triangle, and read the result off that triangle (the case
-    analysis of the intersection proof).  With an irrational operand the
-    shared tail is instead located by bracketing the irrational against
-    the division vertices of the other operand's diagram.
+    Each triangle of a diagram has one edge e facing theta, and the diagram
+    of a slope s is exactly the set of triangles whose closed arc beyond e,
+    the one holding theta, leaves s out.  These arcs shrink along the walk
+    toward theta, so the intersection is the tail of r1's walk from the
+    first edge whose arc excludes r2, and the product is the vertex
+    opposite that edge.  A rational r1 walks from its Start edge; an
+    irrational r1 starts from its base edge and walks toward theta, or
+    widens toward r1 while the arc still leaves r2 out.
     """
     if _slopes_equal(r1, r2):
         return r1
@@ -556,127 +535,27 @@ def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
         return theta
     if isinstance(r2, IrrationalNumber) and r2 == theta:
         return theta
-    if isinstance(r1, ReducedFraction) and isinstance(r2, ReducedFraction):
-        return _product_rational(r1, r2, theta)
-    if isinstance(r2, IrrationalNumber):
-        return _bracket_on_line(r1, r2, theta)
-    return _bracket_on_line(r2, r1, theta)
+    if isinstance(r2, ReducedFraction):
+        r1, r2 = r2, r1  # the product is symmetric; walk from a rational
+    if isinstance(r1, ReducedFraction):
+        edge = left_right_vertices(theta, r1)
+        if not _same_side(r2, theta, *edge):
+            return r1
+    else:
+        edge = _base_edge(theta, r1)
+        if not _same_side(r2, theta, *edge):
+            for lower, upper, apex, _ in _walk(*edge, r1):
+                if _same_side(r2, theta, lower, upper):
+                    return apex
+    for lower, upper, _, replaced in _walk(*edge, theta):
+        if not _same_side(r2, theta, lower, upper):
+            return replaced
 
 
 def _slopes_equal(a: Slope, b: Slope) -> bool:
     if isinstance(a, ReducedFraction) != isinstance(b, ReducedFraction):
         return False
     return a == b
-
-
-def _product_rational(
-    r1: ReducedFraction, r2: ReducedFraction, theta: IrrationalNumber
-) -> ReducedFraction:
-    gen1 = _diagram_steps_rational(theta, r1)
-    gen2 = _diagram_steps_rational(theta, r2)
-    order1: list[FareyTriangle] = []
-    seen2: set = set()
-    common: Optional[FareyTriangle] = None
-    while common is None:
-        t1 = next(gen1)[0]
-        order1.append(t1)
-        seen2.add(next(gen2)[0].key())
-        for t in order1:
-            if t.key() in seen2:
-                common = t
-                break
-    a, b, c = common.vertices  # ascending, infinity greatest
-    if _inside(theta, b, c):
-        return a
-    if _inside(theta, a, b):
-        return c
-    return b
-
-
-def _label_line(
-    theta: IrrationalNumber, far: Slope
-) -> tuple[Iterable, Iterable, Optional[ReducedFraction]]:
-    """Division-vertex streams of the diagram of (theta, far).
-
-    Returns (toward_theta, away_from_theta, fallback): streams of
-    (side, fraction) pairs in arc order -- the first moving from the far
-    end toward theta (root or base pair first), the second moving from the
-    base toward an irrational far end (empty for rational far, where
-    `fallback` is the root instead).
-    """
-    if isinstance(far, ReducedFraction):
-        def toward() -> Iterator[tuple[str, ReducedFraction]]:
-            yield ("r" if slope_lt(far, theta) else "l", far)
-            for _, _, labels in _diagram_steps_rational(theta, far):
-                for _, vert, side in labels:
-                    yield side, vert
-
-        return toward(), iter(()), far
-
-    lo, hi = _base_edge(theta, far)
-
-    def toward() -> Iterator[tuple[str, ReducedFraction]]:
-        for v in (lo, hi):
-            yield ("r" if _on_lower_arc(v, theta, far) else "l", v)
-        for step in _walk_from_edge(theta, far, (lo, hi), _toward_apex(lo, hi, theta)):
-            v = step.new_vertex
-            yield ("r" if _on_lower_arc(v, theta, far) else "l", v)
-
-    def away() -> Iterator[tuple[str, ReducedFraction]]:
-        for step in _walk_from_edge(far, theta, (lo, hi), _toward_apex(lo, hi, far)):
-            v = step.new_vertex
-            yield ("r" if _on_lower_arc(v, theta, far) else "l", v)
-
-    return toward(), away(), None
-
-
-def _reaches(v: ReducedFraction, x: IrrationalNumber, theta: IrrationalNumber, far: Slope, lower: bool) -> bool:
-    """Does label v sit at or before x along the arc, walking far -> theta?
-
-    "Before" is arc order on the chosen arc of the (theta, far) chord; on
-    a wrapping arc the far-side segment precedes the theta-side one.
-    """
-    far_below = slope_lt(far, theta)
-    if lower:
-        if far_below:
-            return slope_lt(v, x)  # plain ascent far -> theta
-        seg_v = 1 if (v.is_infinite or slope_lt(far, v)) else 2
-        seg_x = 1 if slope_lt(far, x) else 2
-        if seg_v != seg_x:
-            return seg_v < seg_x
-        return slope_lt(v, x)
-    if not far_below:
-        return slope_lt(x, v)  # plain descent far -> theta
-    seg_v = 2 if v.is_infinite else (1 if slope_lt(v, far) else 3)
-    seg_x = 1 if slope_lt(x, far) else 3
-    if seg_v != seg_x:
-        return seg_v < seg_x
-    return slope_lt(x, v)
-
-
-def _bracket_on_line(far: Slope, x: IrrationalNumber, theta: IrrationalNumber) -> ReducedFraction:
-    """Locate x between consecutive same-side division vertices of the
-    diagram of (theta, far); the vertex on the far side of x is the product."""
-    lower = _on_lower_arc(x, theta, far)
-    side = "r" if lower else "l"
-    toward, away, fallback = _label_line(theta, far)
-    best: Optional[ReducedFraction] = None
-    for s, v in toward:
-        if s != side:
-            continue
-        if _reaches(v, x, theta, far, lower):
-            best = v
-        else:
-            break
-    if best is not None:
-        return best
-    for s, v in away:
-        if s != side:
-            continue
-        if _reaches(v, x, theta, far, lower):
-            return v
-    assert fallback is not None, "two-ended label line failed to bracket"
-    return fallback
 
 
 # --------------------------------------------------------------------------
@@ -812,6 +691,9 @@ def shortest_path_bundle(
         raise NoPath(f"{start} or {end} is not a vertex of this roller coaster")
     if start == end:
         return []
+    successors: dict = {}
+    for a, b in rc.labels:
+        successors.setdefault(a, []).append(b)
     dist = {start: 0}
     ways = {start: 1}
     parent = {}
@@ -820,7 +702,7 @@ def shortest_path_bundle(
         v = q.popleft()
         if v == end:
             break
-        for w in rc.successors(v):
+        for w in successors.get(v, ()):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 ways[w] = ways[v]

@@ -2,9 +2,10 @@
 
 Everything here trades speed for obviousness: exhaustive scans, literal
 sweeps, and direct lattice counting.  None of it imports the modules under
-test beyond the two leaf types (fractions and the exact comparator).
+test beyond the two leaf types (fractions and the exact comparators).
 """
 
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from fareyslopes.cfrac import (
     GREATER,
     LESS,
     IrrationalNumber,
+    compare_irrationals,
     compare_theta_rational,
 )
 from fareyslopes.exact import ReducedFraction
@@ -228,3 +230,111 @@ def cutting_runs_expected(theta: IrrationalNumber, depth: int):
         first = "R"
     letters = [first if i % 2 == 0 else ("R" if first == "L" else "L") for i in range(depth)]
     return tuple(zip(letters, lengths))
+
+
+def _lt(a, b) -> bool:
+    """Exact a < b for fractions and irrationals, infinity greatest."""
+    if isinstance(a, ReducedFraction):
+        if isinstance(b, ReducedFraction):
+            return a < b
+        return compare_theta_rational(b, a) == GREATER
+    if isinstance(b, ReducedFraction):
+        return compare_theta_rational(a, b) == LESS
+    return compare_irrationals(a, b) == LESS
+
+
+def _inside(s, lo: ReducedFraction, hi: ReducedFraction) -> bool:
+    """s in the open real interval (lo, hi), lo < hi; infinity never is."""
+    if isinstance(s, ReducedFraction) and s.is_infinite:
+        return False
+    return _lt(lo, s) and (hi.is_infinite or _lt(s, hi))
+
+
+def _on_lower_arc(v, theta, far) -> bool:
+    """v on the arc of the chord (far, theta) that reaches theta from below."""
+    below = _lt(v, theta)
+    if _lt(far, theta):
+        return below and _lt(far, v)
+    return below or _lt(far, v)
+
+
+def _apexes(u: ReducedFraction, v: ReducedFraction):
+    """The third vertices of the two triangles over the Farey edge (u, v)."""
+    return u.mediant(v), ReducedFraction(u.p - v.p, u.q - v.q)
+
+
+def edge_search_walk(toward, far, edge, first_apex):
+    """Triangles crossed by the geodesic (far, toward), starting with the
+    one over `edge` with apex `first_apex`; yields (sorted vertices, vertex
+    the step exposed).
+
+    Every non-entry edge of a triangle is tested against both geodesic ends:
+    the exit edge is the one with exactly one end in its interval.  Edges
+    incident to a rational end meet the geodesic only at infinity and are
+    never crossed.
+    """
+    entry, tri, new = frozenset(edge), set(edge) | {first_apex}, first_apex
+    while True:
+        yield tuple(sorted(tri)), new
+        exits = [
+            (a, b)
+            for a, b in itertools.combinations(sorted(tri), 2)
+            if frozenset((a, b)) != entry
+            and far not in (a, b)
+            and toward not in (a, b)
+            and _inside(toward, a, b) != _inside(far, a, b)
+        ]
+        assert len(exits) == 1, f"{len(exits)} exit edges from {sorted(tri)}"
+        (a, b), = exits
+        old_apex = next(x for x in tri if x not in (a, b))
+        new = next(x for x in _apexes(a, b) if x != old_apex)
+        entry, tri = frozenset((a, b)), {a, b, new}
+
+
+def reference_diagram(theta: IrrationalNumber, far, depth: int) -> dict:
+    """What `farey_diagram(theta, far, depth).to_dict()` must be, from the
+    edge-search walk: each letter counts the triangle's vertices on the
+    lower arc of the chord (two make an L), each exposed vertex's side is
+    its own arc test.  The Start triangle of a rational far end comes from
+    the library's `left_right_vertices`; the base edge of an irrational one
+    from `base_edge_descent`."""
+    from fareyslopes.farey import left_right_vertices
+
+    side = lambda v: "r" if _on_lower_arc(v, theta, far) else "l"
+
+    def fan(toward, away, edge):
+        mediant, difference = _apexes(*edge)
+        first = mediant if _inside(toward, *sorted(edge)) else difference
+        out = []
+        for tri, new in itertools.islice(edge_search_walk(toward, away, edge, first), depth):
+            lower = sum(_on_lower_arc(v, theta, far) for v in tri)
+            assert lower in (1, 2)
+            out.append((tri, "L" if lower == 2 else "R", new))
+        return out
+
+    if isinstance(far, ReducedFraction):
+        l1, r1 = left_right_vertices(theta, far)
+        assert (side(l1), side(r1)) == ("l", "r")
+        triangles = [(tuple(sorted((far, l1, r1))), "Start", None)]
+        triangles += fan(theta, far, (l1, r1))[: depth - 1]
+        labels = {"l": [l1], "r": [r1]}
+        for _, _, new in triangles[1:]:
+            labels[side(new)].append(new)
+        numbered = {k: list(enumerate(vs, 1)) for k, vs in labels.items()}
+    else:
+        edge = base_edge_descent(theta, far)
+        behind, ahead = fan(far, theta, edge)[::-1], fan(theta, far, edge)
+        triangles = behind + ahead
+        numbered = {}
+        for k in "lr":
+            back = [new for _, _, new in behind if side(new) == k]
+            base = [v for v in edge if side(v) == k]
+            front = [new for _, _, new in ahead if side(new) == k]
+            numbered[k] = list(enumerate(back + base + front, -len(back)))
+    return {
+        "theta": str(theta),
+        "far": str(far),
+        "triangles": [{"vertices": [str(v) for v in tri], "type": ty} for tri, ty, _ in triangles],
+        "left_labels": [[i, str(v)] for i, v in numbered["l"]],
+        "right_labels": [[i, str(v)] for i, v in numbered["r"]],
+    }

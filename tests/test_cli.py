@@ -1,8 +1,10 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import fareyslopes
 from fareyslopes.cfrac import EventuallyPeriodic
@@ -174,3 +176,24 @@ def test_render_config_styles(capsys, tmp_path):
 def test_render_missing_theta_is_input_error(capsys):
     code, _, err = run(capsys, "render", "svg", "diagram", "--far", "1/0")
     assert code == 2 and "error:" in err
+
+
+def _readme_commands():
+    """The argument lists of the README's CLI examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("fareyslopes ")]
+
+
+def test_readme_commands_never_raise(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # render examples write their --out file here
+    commands = _readme_commands()
+    assert len(commands) >= 16
+    big = 10**400
+    commands.append(["farey", "tree", "[1;(1)]", f"{big + 1}/{big}"])
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+    # a 400-digit fraction once overflowed the float translate estimate
+    assert code == 0 and json.loads(out)["root"]["fraction"] == f"{big + 1}/{big}"

@@ -24,6 +24,7 @@ from fareyslopes.lattice import theta_norm
 
 from _oracles import (
     base_edge_descent,
+    reference_diagram,
     cutting_runs_descent,
     cutting_runs_expected,
     interior_lattice_points,
@@ -84,6 +85,17 @@ def test_left_right_vertices_golden_table():
     }
     for (p, q), ((lp, lq), (rp, rq)) in table.items():
         assert left_right_vertices(golden, F(p, q)) == (F(lp, lq), F(rp, rq))
+
+
+def test_left_right_vertices_past_float_range():
+    # a 400-digit denominator overflows any float estimate of the translate
+    big = 10**400
+    r = F(big + 1, big)
+    l1, r1 = left_right_vertices(golden, r)
+    w, wl, wr = (theta_norm(x, golden) for x in (r, l1, r1))
+    assert wl + wr == w and wl.sign() > 0 and wr.sign() > 0
+    assert l1.is_farey_neighbor(r) and r1.is_farey_neighbor(r)
+    assert (l1, r1) == (F(1, 1), F(big, big - 1))
 
 
 def test_left_right_vertices_norm_identities():
@@ -153,6 +165,34 @@ def test_two_ended_diagram():
         frozenset({F(3, 2), F(5, 3), F(2, 1)}),
         frozenset({F(3, 2), F(8, 5), F(5, 3)}),
     ]
+
+
+def _wide_slope(rng, shared=()):
+    """A slope continuing `shared` (or with a0 in -6..6), quotients up to
+    10^4 but mostly small."""
+    pre = list(shared) or [rng.randint(-6, 6)]
+    draw = lambda: rng.choice((1, 1, 2, 3, rng.randint(1, 60), rng.randint(1, 10**4)))
+    pre += [draw() for _ in range(rng.randint(0, 3))]
+    return EventuallyPeriodic(pre, [draw() for _ in range(rng.randint(1, 3))])
+
+
+def test_diagrams_match_edge_search_walk():
+    rng = random.Random(22)
+    for _ in range(120):
+        theta = _wide_slope(rng)
+        d = rng.randint(1, 30)
+        far = INFINITY if rng.random() < 0.3 else F(rng.randint(-60, 60), rng.randint(1, 12))
+        assert farey_diagram(theta, far, d).to_dict() == reference_diagram(theta, far, d)
+    done = 0
+    while done < 120:
+        theta = _wide_slope(rng)
+        shared = [theta.quotient(i) for i in range(rng.randint(0, 5))]
+        r = _wide_slope(rng, shared)
+        if r == theta:
+            continue
+        d = rng.randint(1, 20)
+        assert farey_diagram(theta, r, d).to_dict() == reference_diagram(theta, r, d)
+        done += 1
 
 
 def _strictly_inside(z, u, v):
@@ -288,6 +328,25 @@ def test_theta_product_matches_diagram_intersection():
         walk = [t.key() for t, _ in result.triangles]
         # the intersection is exactly the start of the result's walk
         assert common == set(walk[: len(common)])
+    # irrational operands: their diagrams are two-ended
+    done = 0
+    while done < 80:
+        theta = random_theta(rng)
+        ops = [_random_slope(rng) if rng.random() < 0.4 else random_theta(rng) for _ in range(2)]
+        if any(isinstance(x, EventuallyPeriodic) for x in ops[1:]) and rng.random() < 0.5:
+            # share a prefix with theta so the product lies deep in the walk
+            ops[1] = EventuallyPeriodic(
+                [theta.quotient(i) for i in range(rng.randint(1, 4))], [rng.randint(1, 4)]
+            )
+        r1, r2 = ops
+        if theta in ops or r1 == r2 or not any(isinstance(x, EventuallyPeriodic) for x in ops):
+            continue
+        got = theta_product(r1, r2, theta)
+        assert got == theta_product(r2, r1, theta)
+        common = farey_diagram(theta, r1, depth).triangle_keys() & farey_diagram(theta, r2, depth).triangle_keys()
+        walk = [t.key() for t, _ in farey_diagram(theta, got, 2 * depth).triangles]
+        assert common and common == set(walk[: len(common)])
+        done += 1
 
 
 def test_theta_product_commutative_associative():

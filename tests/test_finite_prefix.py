@@ -1,14 +1,20 @@
 """FinitePrefix truncations of eventually periodic slopes: each answer of
-`slope_lt`, `bottom` and `cutting_sequence` matches the full slope's, or
-PrecisionExhausted names a depth that lets a longer prefix make progress."""
+`slope_lt`, `bottom`, `cutting_sequence`, `farey_diagram` and
+`theta_product` matches the full slope's, or PrecisionExhausted names a
+depth that lets a longer prefix make progress."""
 
 from hypothesis import assume, given, settings, strategies as st
 
 from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import PrecisionExhausted
-from fareyslopes.farey import bottom, cutting_sequence, slope_lt
+from fareyslopes.exact import ReducedFraction
+from fareyslopes.farey import bottom, cutting_sequence, farey_diagram, slope_lt, theta_product
 
 _QUOTIENT = st.integers(1, 9)
+_FRACTION = st.one_of(
+    st.just(ReducedFraction(1, 0)),
+    st.builds(ReducedFraction, st.integers(-120, 120), st.integers(1, 30)),
+)
 
 
 @st.composite
@@ -50,3 +56,23 @@ def test_finite_prefix_matches_or_exhausts(pair, n1, n2, depth):
     assert _answer_from_prefixes(bottom, (lo, hi), (n1, n2)) == bottom(lo, hi)
     runs = _answer_from_prefixes(lambda t: cutting_sequence(t, depth).runs, (x,), (n1,))
     assert runs == cutting_sequence(x, depth).runs
+
+
+def _shape(diagram):
+    """A diagram without its slopes, whose text differs between a prefix and
+    the full slope."""
+    return diagram.triangles, diagram.left_labels, diagram.right_labels
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_slope_pairs(), st.integers(1, 60), _FRACTION, _FRACTION, st.integers(1, 30), st.booleans())
+def test_finite_prefix_diagrams_and_products(pair, n, r, r2, depth, irrational):
+    # theta is truncated; the operands stay exact, and the irrational one
+    # may share up to 40 quotients with theta
+    theta, other = pair
+    want = _shape(farey_diagram(theta, r, depth))
+    assert _answer_from_prefixes(lambda t: _shape(farey_diagram(t, r, depth)), (theta,), (n,)) == want
+    second = other if irrational else r2
+    want = theta_product(r, second, theta)
+    assert _answer_from_prefixes(lambda t: theta_product(r, second, t), (theta,), (n,)) == want
+    assert _answer_from_prefixes(lambda t: theta_product(second, r, t), (theta,), (n,)) == want
