@@ -240,8 +240,8 @@ def beads(
     the slope window 0 < slope(r) - theta < 1.  Summands collect the rest
     positions left to right, shift 1 for labels below theta; the class and
     rotated rank are additive over the pieces by construction, which is
-    asserted.  The result is immutable and memoized (ses_check hits every
-    window three ways).
+    checked, also under ``python -O``.  The result is immutable and memoized
+    (ses_check hits every window three ways).
     """
     _require_window(theta, r)
     root = root_interval(theta, r)
@@ -266,8 +266,10 @@ def beads(
     total = ThetaLatticeElement(0, 0, theta)
     for label in labels:
         total = total + theta_norm(label, theta)
-    assert total == length, "piece norms must tile the interval exactly"
-    assert rotated_rank(sheaf, theta) == length, "rotated rank must match"
+    if total != length:
+        raise AssertionError("piece norms must tile the interval exactly")
+    if rotated_rank(sheaf, theta) != length:
+        raise AssertionError("rotated rank must match")
     return BeadObject((c, d), labels, sheaf, length)
 
 

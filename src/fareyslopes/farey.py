@@ -23,7 +23,15 @@ from functools import lru_cache
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Union
 
-from .cfrac import GREATER, LESS, IrrationalNumber, common_prefix, compare_irrationals, compare_theta_rational
+from .cfrac import (
+    GREATER,
+    LESS,
+    FinitePrefix,
+    IrrationalNumber,
+    common_prefix,
+    compare_irrationals,
+    compare_theta_rational,
+)
 from .errors import NoPath, PrecisionExhausted
 from .exact import ReducedFraction
 from .lattice import chi, norm_to_fraction, theta_norm, ThetaLatticeElement
@@ -531,10 +539,10 @@ def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
     """
     if _slopes_equal(r1, r2):
         return r1
-    if isinstance(r1, IrrationalNumber) and r1 == theta:
+    if _slopes_equal(r1, theta) or _slopes_equal(r2, theta):
         return theta
-    if isinstance(r2, IrrationalNumber) and r2 == theta:
-        return theta
+    for a, b in ((r1, r2), (r1, theta), (r2, theta)):
+        _require_distinct(a, b)
     if isinstance(r2, ReducedFraction):
         r1, r2 = r2, r1  # the product is symmetric; walk from a rational
     if isinstance(r1, ReducedFraction):
@@ -553,9 +561,19 @@ def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
 
 
 def _slopes_equal(a: Slope, b: Slope) -> bool:
-    if isinstance(a, ReducedFraction) != isinstance(b, ReducedFraction):
+    """a == b where equality is decided: never for a FinitePrefix."""
+    if isinstance(a, FinitePrefix) or isinstance(b, FinitePrefix):
         return False
-    return a == b
+    return isinstance(a, ReducedFraction) == isinstance(b, ReducedFraction) and a == b
+
+
+def _require_distinct(a: Slope, b: Slope) -> None:
+    """PrecisionExhausted when a FinitePrefix agrees with the other
+    irrational on every known quotient, so the two may be equal."""
+    if isinstance(a, ReducedFraction) or isinstance(b, ReducedFraction):
+        return
+    if isinstance(a, FinitePrefix) or isinstance(b, FinitePrefix):
+        common_prefix(a, b)
 
 
 # --------------------------------------------------------------------------

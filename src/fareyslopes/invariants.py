@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from sympy import factorint, isprime, nextprime
-
 from .cfrac import EventuallyPeriodic, FinitePrefix, IrrationalNumber
 from .errors import PrecisionExhausted, PrimePickerExhausted, SeedRejected
 
@@ -91,26 +89,30 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
     if isinstance(theta, EventuallyPeriodic):
         n0 = len(theta.preperiod)
         ell = len(theta.period)
-        seen = {}
         i = 0
-        while True:
+        while 2 * i < n0:
             _, q2i = theta.convergent_pair(2 * i)
-            start = 2 * i + 2
-            A = _tail_gcd(theta, start)
+            report.c_values.append((i, math.gcd(q2i, _tail_gcd(theta, 2 * i + 2))))
+            i += 1
+        # Past the preperiod the whole future is determined by the phase and
+        # the q-pair mod A (A constant along the chain), so only the pair mod
+        # A is carried on; the 2ℓ·A² states bound the loop.
+        A = _tail_gcd(theta, 2 * i + 2)
+        _, q2i = theta.convergent_pair(2 * i)
+        _, q2i1 = theta.convergent_pair(2 * i + 1)
+        q2i, q2i1 = q2i % A, q2i1 % A
+        seen = set()
+        while True:
             c_i = math.gcd(q2i, A)
             report.c_values.append((i, c_i))
-            if 2 * i >= n0:
-                # Past the preperiod the whole future is determined by the
-                # phase and the q-pair mod A (A constant along the chain).
-                _, q2i1 = theta.convergent_pair(2 * i + 1)
-                key = ((2 * i - n0) % (2 * ell), q2i % A, q2i1 % A)
-                if key in seen:
-                    report.status = Stabilized(c_i)
-                    return report
-                seen[key] = i
+            key = ((2 * i - n0) % (2 * ell), q2i, q2i1)
+            if key in seen:
+                report.status = Stabilized(c_i)
+                return report
+            seen.add(key)
+            q2i = (theta.quotient(2 * i + 2) * q2i1 + q2i) % A
+            q2i1 = (theta.quotient(2 * i + 3) * q2i + q2i1) % A
             i += 1
-            if i > 10000:  # unreachable: state space is at most 2ℓ·A²
-                raise AssertionError("c_theta failed to cycle")
 
     # Finite prefix: fold everything available up to the budget.  Entries
     # that would fold no quotient at all (bare q_{2i}) are not evidence and
@@ -140,7 +142,8 @@ def d_chain(theta: IrrationalNumber, n: int) -> list:
 
     The identity gcd(q_{2i}, q_{2i+2}) = gcd(q_{2i}, a_{2i+2}) — immediate
     from q_{2i+2} = a_{2i+2}·q_{2i+1} + q_{2i} and coprimality of
-    consecutive denominators — is cross-checked on every entry.
+    consecutive denominators — is cross-checked on every entry, also under
+    ``python -O``.
     """
     out = []
     for i in range(n):
@@ -148,7 +151,8 @@ def d_chain(theta: IrrationalNumber, n: int) -> list:
         a = theta.quotient(2 * i + 2)
         d = math.gcd(q2i, a)
         _, q2i2 = theta.convergent_pair(2 * i + 2)
-        assert d == math.gcd(q2i, q2i2)
+        if d != math.gcd(q2i, q2i2):
+            raise AssertionError(f"gcd(q_{2 * i}, a_{2 * i + 2}) != gcd(q_{2 * i}, q_{2 * i + 2})")
         out.append(d)
     return out
 
@@ -170,6 +174,28 @@ def bounded_quotients(theta: IrrationalNumber, depth: int = 0):
 
 
 # -- the CRT constructor ------------------------------------------------------
+
+# Only the constructor factors integers, so sympy is imported on first use
+# rather than with the package: every other entry point, and the CLI start-up,
+# skips its import.
+
+
+def factorint(n: int) -> dict:
+    from sympy import factorint
+
+    return factorint(n)
+
+
+def isprime(n: int) -> bool:
+    from sympy import isprime
+
+    return isprime(n)
+
+
+def nextprime(n: int) -> int:
+    from sympy import nextprime
+
+    return nextprime(n)
 
 
 def _default_prime_picker(forbidden: int, cap: int = 10**6) -> int:
@@ -237,18 +263,24 @@ def construct_special_theta(
 
 
 def special_conditions_hold(theta: FinitePrefix) -> bool:
-    """Verify by factorization, at every constructed even index 2i ≥ 4:
+    """Verify, at every constructed even index 2i ≥ 4:
     (1) each prime of q_{2i−2} divides a_{2i} exactly once, and
-    (2) q_{2i} has a prime that q_{2i−2} lacks."""
+    (2) q_{2i} has a prime that q_{2i−2} lacks.
+
+    Only q_{2i−2} is factored.  (1) tests each of its primes against
+    a_{2i}; (2) holds when dividing every prime shared with q_{2i−2} out of
+    q_{2i} leaves more than 1."""
     top = theta.available_depth()
     for idx in range(4, top + 1, 2):
         _, q_prev = theta.convergent_pair(idx - 2)
         _, q_here = theta.convergent_pair(idx)
         a = theta.quotient(idx)
-        a_fac = factorint(a)
-        for prime in factorint(q_prev):
-            if a_fac.get(prime, 0) != 1:
-                return False
-        if not any(q_prev % prime for prime in factorint(q_here)):
+        if any(a % prime or a % (prime * prime) == 0 for prime in factorint(q_prev)):
+            return False
+        rest, shared = q_here, math.gcd(q_here, q_prev)
+        while shared > 1:
+            rest //= shared
+            shared = math.gcd(rest, shared)
+        if rest == 1:
             return False
     return True

@@ -9,6 +9,8 @@ import itertools
 import math
 import random
 
+from sympy import factorint
+
 from fareyslopes.cfrac import (
     EventuallyPeriodic,
     GREATER,
@@ -26,6 +28,20 @@ def random_theta(rng: random.Random, lo: int = 0, hi: int = 4) -> EventuallyPeri
     pre = [a0] + [rng.randint(1, 4) for _ in range(rng.randint(0, 2))]
     per = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
     return EventuallyPeriodic(tuple(pre), tuple(per))
+
+
+def special_conditions_by_factoring(theta: IrrationalNumber) -> bool:
+    """The constructor's two conditions read off full factorizations of
+    a_{2i}, q_{2i-2} and q_{2i} at every even index 2i >= 4."""
+    for idx in range(4, theta.available_depth() + 1, 2):
+        _, q_prev = theta.convergent_pair(idx - 2)
+        _, q_here = theta.convergent_pair(idx)
+        a_fac = factorint(theta.quotient(idx))
+        if any(a_fac.get(prime, 0) != 1 for prime in factorint(q_prev)):
+            return False
+        if all(q_prev % prime == 0 for prime in factorint(q_here)):
+            return False
+    return True
 
 
 def simplest_between(

@@ -41,18 +41,37 @@ def test_bottom_example(capsys):
     assert json.loads(out) == "3/2"
 
 
+def _fresh(*args):
+    """Run the interpreter on args in a new process that imports this fareyslopes."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_bottom_past_600_shared_quotients():
     # run as its own process, as a user would, so a traceback would show
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
-    argv = ["farey", "bottom", "[1;" + "1," * 600 + "(2)]", "[1;(1)]"]
-    done = subprocess.run(
-        [sys.executable, "-m", "fareyslopes.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    done = _fresh("-m", "fareyslopes.cli", "farey", "bottom", "[1;" + "1," * 600 + "(2)]", "[1;(1)]")
     assert done.returncode == 0 and "Traceback" not in done.stderr
     value = Fraction(2)  # [1;1x600,2]
     for _ in range(601):
         value = 1 + 1 / value
     assert json.loads(done.stdout) == f"{value.numerator}/{value.denominator}"
+
+
+_MAIN_THEN_SYMPY = (
+    "import sys, fareyslopes.cli as cli; code = cli.main(sys.argv[1:]); "
+    "print('sympy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+def test_only_construct_imports_sympy(capsys):
+    # fresh processes: the test modules themselves import sympy
+    done = _fresh("-c", _MAIN_THEN_SYMPY, "farey", "diagram", "[1;(1)]", "1/0", "--depth", "6")
+    assert done.returncode == 0 and done.stderr == "False\n"
+    argv = ["cf", "construct", "--seed", "1,1,2", "--depth", "4"]
+    done = _fresh("-c", _MAIN_THEN_SYMPY, *argv)
+    assert done.returncode == 0 and done.stderr == "True\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and done.stdout == out
 
 
 def test_bad_input_exits_two(capsys):
@@ -67,6 +86,13 @@ def test_precision_exhausted_exits_three(capsys):
     code, out, err = run(capsys, "cf", "convergents", "[1;1,1]", "-n", "8")
     assert code == 3 and out == ""
     assert "needed depth" in err
+
+
+def test_product_of_equal_prefixes_exits_three(capsys):
+    # the prefixes may stand for different slopes, so the product is undecided
+    code, out, err = run(capsys, "farey", "product", "[1;1,1]", "5/2", "--theta", "[1;1,1]")
+    assert code == 3 and out == ""
+    assert "needed depth: 4" in err
 
 
 def test_diagram_roundtrip(capsys):
@@ -189,6 +215,8 @@ def test_readme_commands_never_raise(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # render examples write their --out file here
     commands = _readme_commands()
     assert len(commands) >= 16
+    # its (phase, q mod A) state cycle once outran a 10 000-step cap
+    commands.append(["cf", "ctheta", "[0;(1,10007)]"])
     big = 10**400
     commands.append(["farey", "tree", "[1;(1)]", f"{big + 1}/{big}"])
     for argv in commands:

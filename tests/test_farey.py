@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fareyslopes.cfrac import EventuallyPeriodic
-from fareyslopes.errors import NoPath
+from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
+from fareyslopes.errors import NoPath, PrecisionExhausted
 from fareyslopes.exact import INFINITY, ReducedFraction as F
 from fareyslopes.farey import (
     FareyTriangle,
@@ -305,6 +305,27 @@ def test_theta_product_goldens():
     assert theta_product(F(5, 2), F(5, 2), golden) == F(5, 2)
     assert theta_product(sqrt2, sqrt2, golden) == sqrt2
     assert theta_product(golden, F(5, 2), golden) == golden
+
+
+def test_theta_product_never_takes_prefixes_for_equal():
+    # [1;1,1] may truncate golden or [1;1,1,(2)], whose products with 5/2
+    # over golden are golden and 3/2
+    assert theta_product(EventuallyPeriodic((1, 1, 1), (2,)), F(5, 2), golden) == F(3, 2)
+    prefix = FinitePrefix((1, 1, 1))
+    for r1, r2, theta in (
+        (prefix, F(5, 2), prefix),
+        (F(5, 2), prefix, prefix),
+        (prefix, prefix, golden),
+        (prefix, golden, sqrt2),
+        (golden, F(5, 2), prefix),
+    ):
+        with pytest.raises(PrecisionExhausted) as info:
+            theta_product(r1, r2, theta)
+        assert info.value.needed_depth == 4
+    # a fourth quotient tells the prefixes apart, and deeper ones give the product
+    assert theta_product(FinitePrefix((1, 1, 1, 2, 2, 2)), F(5, 2), FinitePrefix((1,) * 6)) == F(3, 2)
+    # an eventually periodic operand equal to theta still decides the product
+    assert theta_product(golden, FinitePrefix((1, 1)), golden) == golden
 
 
 def _random_slope(rng):

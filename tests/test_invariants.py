@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from sympy import factorint
 
+import fareyslopes
 from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import PrecisionExhausted, SeedRejected
 from fareyslopes.invariants import (
@@ -17,7 +21,7 @@ from fareyslopes.invariants import (
     special_conditions_hold,
 )
 
-from _oracles import random_theta
+from _oracles import random_theta, special_conditions_by_factoring
 
 golden = EventuallyPeriodic((1,), (1,))
 sqrt2 = EventuallyPeriodic((1,), (2,))
@@ -69,6 +73,18 @@ def test_brute_force_fold_agrees():
             assert g == c_i
 
 
+@pytest.mark.parametrize("period", [(1, 10007), (2, 10007)])
+def test_long_state_cycle_stabilizes(period):
+    # the (phase, q mod A) state cycle here is about 2A = 20014 steps long
+    theta = EventuallyPeriodic((0,), period)
+    rep = c_theta(theta)
+    assert rep.status == Stabilized(1)
+    assert len(rep.c_values) > 20000
+    for i, c_i in rep.c_values[:60]:
+        _, q2i = theta.convergent_pair(2 * i)
+        assert c_i == math.gcd(q2i, *(theta.quotient(j) for j in range(2 * i + 2, 2 * i + 8, 2)))
+
+
 def test_finite_prefix_lower_bounds():
     theta = FinitePrefix((1,) * 12)
     rep = c_theta(theta)
@@ -100,6 +116,41 @@ def test_d_chain_matches_denominator_gcd():
             _, q2i = theta.convergent_pair(2 * i)
             _, q2i2 = theta.convergent_pair(2 * i + 2)
             assert d == math.gcd(q2i, q2i2)
+
+
+# -- invariant checks under python -O ----------------------------------------
+
+_PREAMBLE = """
+import sys
+import fareyslopes.division as div
+from fareyslopes.cfrac import EventuallyPeriodic
+from fareyslopes.exact import ReducedFraction as F
+from fareyslopes.invariants import d_chain
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+golden = EventuallyPeriodic((1,), (1,))
+"""
+_BEADS = "pts = div.division_points(golden, F(2, 1), 2); div.beads(golden, F(2, 1), pts[1], pts[4])"
+_BROKEN = {
+    # a_{2i+2} disagrees with the memoized convergents from i = 1 on
+    "gcd(q_2, a_4) != gcd(q_2, q_4)": "golden.convergent_pair(8); golden.quotient = lambda i: 6; d_chain(golden, 3)",
+    # the cover drops a label, so the pieces no longer tile [c, d]
+    "piece norms must tile the interval exactly": "cover = div._cover; div._cover = lambda *a: cover(*a)[:-1]; "
+    + _BEADS,
+    "rotated rank must match": "rank = div.rotated_rank; div.rotated_rank = lambda s, t: rank(s, t) + rank(s, t); "
+    + _BEADS,
+}
+
+
+@pytest.mark.parametrize("message", sorted(_BROKEN))
+def test_invariant_checks_run_under_python_O(message):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _PREAMBLE + _BROKEN[message]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
 
 
 # -- quotient bounds ----------------------------------------------------------
@@ -149,6 +200,23 @@ def test_constructor_rejections():
         construct_special_theta(1, 1, 2, depth=-1)
     # depth 0 is just the seed
     assert construct_special_theta(1, 1, 2, depth=0).quotients == (1, 1, 2)
+
+
+def test_conditions_match_factoring_oracle():
+    # prefixes built like the constructor's, each even quotient rad(q_{2k})
+    # times a small cofactor, so both conditions hold and fail
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(300):
+        qs = [rng.randint(-3, 3), rng.randint(1, 4), rng.randint(1, 4)]
+        for _ in range(rng.randint(1, 4)):
+            qs.append(rng.randint(1, 3))
+            _, q = FinitePrefix(qs).convergent_pair(len(qs) - 2)
+            qs.append(math.prod(factorint(q)) * rng.randint(1, 8))
+        want = special_conditions_by_factoring(FinitePrefix(qs))
+        assert special_conditions_hold(FinitePrefix(qs)) == want, qs
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_conditions_reject_tampering():
