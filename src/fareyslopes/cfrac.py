@@ -16,10 +16,9 @@ the convenience ``approx`` used by rendering and test oracles.
 
 from __future__ import annotations
 
+import math
 import re
-import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import PrecisionExhausted
 from .exact import ReducedFraction
@@ -27,6 +26,14 @@ from .exact import ReducedFraction
 _CF_RE = re.compile(
     r"^\s*\[\s*(-?\d+)\s*(?:;\s*(.*?))?\s*\]\s*$"
 )
+
+
+def _continuants(quotients):
+    """(p, q, p′, q′): the last two convergents p/q, p′/q′ of [quotients]."""
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    for a in quotients:
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+    return p, q, p_prev, q_prev
 
 
 def _minimal_period(period):
@@ -49,18 +56,17 @@ class IrrationalNumber:
     def _ensure(self, i: int) -> None:
         """Extend the (p, q) memo so that convergent i is available."""
         # memo[k] holds (p, q) for convergent index k-1; memo[0] = (1, 0).
-        with self._lock:
-            while len(self._memo) < i + 2:
-                k = len(self._memo) - 1  # convergent index to compute
-                a = self.quotient(k)
-                if k == 0:
-                    p_prev, q_prev = self._memo[0]
-                    p, q = a * p_prev + 0, a * q_prev + 1
-                else:
-                    p_prev, q_prev = self._memo[k]
-                    p_prev2, q_prev2 = self._memo[k - 1]
-                    p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
-                self._memo.append((p, q))
+        while len(self._memo) < i + 2:
+            k = len(self._memo) - 1  # convergent index to compute
+            a = self.quotient(k)
+            if k == 0:
+                p_prev, q_prev = self._memo[0]
+                p, q = a * p_prev + 0, a * q_prev + 1
+            else:
+                p_prev, q_prev = self._memo[k]
+                p_prev2, q_prev2 = self._memo[k - 1]
+                p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
+            self._memo.append((p, q))
 
     def convergent(self, i: int) -> ReducedFraction:
         """β_i = p_i/q_i for i ≥ −1 (β₋₁ = 1/0)."""
@@ -74,6 +80,28 @@ class IrrationalNumber:
         """Raw (p_i, q_i) without reduction (always already coprime)."""
         self._ensure(i)
         return self._memo[i + 1]
+
+    def lattice_sign(self, m: int, n: int) -> int:
+        """Sign of mθ + n, from the convergent sandwich β₀ < β₂ < … < θ < … < β₃ < β₁.
+
+        mθ + n lies strictly between m·β_{2i} + n and m·β_{2i+1} + n, whose
+        signs are those of m·p + n·q at the two convergents (denominators
+        are positive).  The first i where these do not have strictly
+        opposite signs decides; they are never both 0 unless m = n = 0.  A
+        FinitePrefix raises PrecisionExhausted when its quotients run out
+        first.
+        """
+        if m == 0:
+            return (n > 0) - (n < 0)
+        i = 0
+        while True:
+            p_even, q_even = self.convergent_pair(2 * i)
+            p_odd, q_odd = self.convergent_pair(2 * i + 1)
+            even = m * p_even + n * q_even
+            odd = m * p_odd + n * q_odd
+            if even * odd >= 0:
+                return 1 if even + odd > 0 else -1
+            i += 1
 
     def approx(self, depth: int = 30) -> float:
         """Float estimate from the depth-th convergent (oracle/render use only)."""
@@ -137,7 +165,15 @@ class EventuallyPeriodic(IrrationalNumber):
         self.preperiod = tuple(preperiod)
         self.period = tuple(period)
         self._memo = [(1, 0)]
-        self._lock = threading.Lock()
+        # θ as a quadratic surd.  The purely periodic tail φ = [b₁; b₂, …]
+        # solves φ = (pφ + p′)/(qφ + q′), so qφ² − (p − q′)φ − p′ = 0.  φ is
+        # reduced (φ > 1, conjugate in (−1, 0)), hence
+        # φ = (p − q′ + √Δ)/(2q) with Δ = (p − q′)² + 4qp′, and
+        # θ = (Pφ + P′)/(Qφ + Q′) with Qφ + Q′ > 0.
+        big_p, big_q, big_p1, big_q1 = _continuants(self.preperiod)
+        p, q, p1, q1 = _continuants(self.period)
+        self._surd = (big_p, big_q, big_p1, big_q1, p - q1, 2 * q)
+        self._disc = (p - q1) ** 2 + 4 * q * p1
 
     def quotient(self, i: int) -> int:
         if i < 0:
@@ -149,8 +185,46 @@ class EventuallyPeriodic(IrrationalNumber):
     def available_depth(self) -> int:
         return 10 ** 9  # effectively unbounded
 
+    def _surd_coords(self, m: int, n: int) -> tuple:
+        """(u, x) with mθ + n = (u + x·√Δ)/(2q(Qφ + Q′)), a positive denominator."""
+        big_p, big_q, big_p1, big_q1, t, two_q = self._surd
+        x = m * big_p + n * big_q
+        return x * t + two_q * (m * big_p1 + n * big_q1), x
+
+    def lattice_sign(self, m: int, n: int) -> int:
+        """Sign of mθ + n in closed form: the sign of u + x·√Δ.
+
+        |u| > |x|·√Δ exactly when u² > x²Δ, and then u decides; otherwise x
+        does (Δ is not a square, so the two never balance unless u = x = 0,
+        which happens only for m = n = 0).  No convergent is computed.
+        """
+        u, x = self._surd_coords(m, n)
+        if u * u > x * x * self._disc:
+            return 1 if u > 0 else -1
+        return (x > 0) - (x < 0)
+
+    def floor_ratio(self, a: int, b: int, c: int, d: int) -> int:
+        """⌊(aθ + b)/(cθ + d)⌋ for cθ + d ≠ 0, with no convergent computed.
+
+        Multiplying (u₁ + x₁√Δ)/(u₂ + x₂√Δ) by the conjugate of its
+        denominator leaves (num + coef·√Δ)/den with integers num, coef and
+        den ≠ 0, and ⌊|coef|·√Δ⌋ is an integer square root.
+        """
+        disc = self._disc
+        u1, x1 = self._surd_coords(a, b)
+        u2, x2 = self._surd_coords(c, d)
+        num = u1 * u2 - x1 * x2 * disc
+        coef = x1 * u2 - u1 * x2
+        den = u2 * u2 - x2 * x2 * disc
+        if den < 0:
+            num, coef, den = -num, -coef, -den
+        root = math.isqrt(coef * coef * disc)
+        if coef < 0:
+            root = -root - 1  # coef·√Δ lies strictly between −root − 1 and −root
+        return (num + root) // den
+
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, EventuallyPeriodic)
             and self.preperiod == other.preperiod
             and self.period == other.period
@@ -189,7 +263,6 @@ class FinitePrefix(IrrationalNumber):
         self.quotients = tuple(quotients)
         self.budget = len(self.quotients)
         self._memo = [(1, 0)]
-        self._lock = threading.Lock()
 
     def quotient(self, i: int) -> int:
         if i < 0:
@@ -232,33 +305,15 @@ LESS = -1
 def compare_theta_rational(theta: IrrationalNumber, r: ReducedFraction) -> int:
     """Exact order of θ against r ∈ ℚ∞: +1 when θ > r, −1 when θ < r.
 
-    Uses the convergent sandwich β₀ < β₂ < … < θ < … < β₃ < β₁: as soon as r
-    falls outside the open interval (β_{2i}, β_{2i+1}) the answer is forced.
-    Each test cross-multiplies r with the raw convergent integers (every
-    denominator is positive).  Equality never occurs (θ is irrational).  For
-    FinitePrefix sources a PrecisionExhausted escapes when the known
+    For finite r = p/q (q > 0) this is the sign of qθ − p, read off
+    ``theta.lattice_sign``: closed form for EventuallyPeriodic θ, the
+    convergent sandwich otherwise.  Equality never occurs (θ is irrational).
+    For FinitePrefix sources a PrecisionExhausted escapes when the known
     quotients do not decide.
     """
     if r.is_infinite:
         return LESS  # θ < ∞ on the real line
-    p, q = r.p, r.q
-    i = 0
-    while True:
-        p_even, q_even = theta.convergent_pair(2 * i)
-        p_odd, q_odd = theta.convergent_pair(2 * i + 1)
-        if p * q_even <= p_even * q:
-            return GREATER
-        if p_odd * q <= p * q_odd:
-            return LESS
-        # Once the sandwich denominator exceeds r's, one more step decides.
-        if q_odd > q and q_even > q:
-            # r strictly inside (β_{2i}, β_{2i+1}) with larger denominators
-            # on both ends: the next convergent splits the gap.
-            p_next, q_next = theta.convergent_pair(2 * i + 2)
-            if p * q_next <= p_next * q:
-                return GREATER
-            return LESS
-        i += 1
+    return theta.lattice_sign(r.q, -r.p)
 
 
 def common_prefix(x: IrrationalNumber, y: IrrationalNumber) -> tuple:

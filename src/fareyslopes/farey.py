@@ -26,6 +26,7 @@ from typing import Iterator, Literal, Optional, Union
 from .cfrac import (
     GREATER,
     LESS,
+    EventuallyPeriodic,
     FinitePrefix,
     IrrationalNumber,
     common_prefix,
@@ -187,7 +188,8 @@ def left_right_vertices(
     positive and smaller than |r|, and the pairing chi(|l1|, |r|) = +1 (so
     chi(|r1|, |r|) = -1).  Solved with the extended Euclidean algorithm;
     the unique integer translate landing in the value window
-    (0, value(|r|)) is estimated with theta replaced by a convergent p/q
+    (0, value(|r|)) is an exact floor for an EventuallyPeriodic theta.  For
+    a FinitePrefix it is estimated with theta replaced by a convergent p/q
     and then corrected by exact sign tests.
     """
     w = theta_norm(r, theta)
@@ -197,13 +199,17 @@ def left_right_vertices(
     assert g == 1
     x = ThetaLatticeElement(-t, s, theta)
     assert chi(x, w) == 1
-    # the smallest k with x + k*w > 0 at theta = p/q; |r| stays positive
-    # there, since r does not lie between theta and such a convergent (the
-    # deepest convergent of a FinitePrefix may; the loops then do it all)
-    p, q = _convergent_past(theta, r.q)
-    den = w.m * p + w.n * q
-    if den > 0:
-        x = x + w.scaled(-(x.m * p + x.n * q) // den + 1)
+    if isinstance(theta, EventuallyPeriodic):
+        # the smallest k with x + k*w > 0, exactly
+        x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
+    else:
+        # the same k at theta = p/q; |r| stays positive there, since r does
+        # not lie between theta and such a convergent (the deepest
+        # convergent of a FinitePrefix may; the loops then do it all)
+        p, q = _convergent_past(theta, r.q)
+        den = w.m * p + w.n * q
+        if den > 0:
+            x = x + w.scaled(-(x.m * p + x.n * q) // den + 1)
     while x.sign() <= 0:
         x = x + w
     while (x - w).sign() >= 0:

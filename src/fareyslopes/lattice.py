@@ -1,8 +1,9 @@
 """The rank-two lattice L_θ = ℤθ + ℤ and its antisymmetric pairing.
 
 An element is a pair (m, n) standing for the real number mθ + n.  Because θ
-is irrational the sign of any nonzero element is decidable from partial
-quotients alone: for m ≠ 0 it is sign(m) · sign(θ − (−n/m)).
+is irrational the sign of any nonzero element is decidable exactly:
+``IrrationalNumber.lattice_sign`` reads it off θ's quadratic-surd form or,
+for a finite prefix, off its convergents.
 
 The pairing is χ((m, n), (m', n')) = m'n − mn'; it is ℤ-bilinear and
 antisymmetric, and on the positive lifts of two fractions its absolute value
@@ -29,7 +30,7 @@ class ThetaLatticeElement:
     theta: IrrationalNumber
 
     def _check(self, other: "ThetaLatticeElement") -> None:
-        if self.theta != other.theta:
+        if self.theta is not other.theta and self.theta != other.theta:
             raise MismatchedTheta("elements live over different θ")
 
     # -- linear structure ---------------------------------------------
@@ -63,21 +64,14 @@ class ThetaLatticeElement:
 
     def sign(self) -> int:
         """Sign of the real value mθ + n, computed exactly."""
-        if self.m == 0:
-            return (self.n > 0) - (self.n < 0)
-        # mθ + n > 0  ⇔  θ > −n/m for m > 0, θ < −n/m for m < 0.
-        # ReducedFraction(-n, m) normalises a negative m, representing the
-        # same rational −n/m either way.
-        cmp = compare_theta_rational(self.theta, ReducedFraction(-self.n, self.m))
-        s = 1 if cmp == GREATER else -1
-        return s if self.m > 0 else -s
+        return self.theta.lattice_sign(self.m, self.n)
 
     def is_positive(self) -> bool:
         return self.sign() > 0
 
     def __lt__(self, other: "ThetaLatticeElement") -> bool:
         self._check(other)
-        return (self - other).sign() < 0
+        return self.theta.lattice_sign(self.m - other.m, self.n - other.n) < 0
 
     def __le__(self, other: "ThetaLatticeElement") -> bool:
         return self == other or self < other

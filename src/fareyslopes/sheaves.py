@@ -25,6 +25,7 @@ from .cfrac import (
     IrrationalNumber,
     compare_theta_rational,
 )
+from .errors import TolTooTight
 from .exact import ReducedFraction
 from .farey import bottom, farey_diagram, slope_lt
 from .invariants import Stabilized, c_theta
@@ -854,7 +855,9 @@ def witness_image_chain(
     surjections and the theta_prime-side arrows injections; each arrow
     between stable classes carries its kernel or cokernel class with
     multiplicity.  The outer arrows to and from the limit objects carry no
-    class (those complements have infinite rank).
+    class (those complements have infinite rank).  The diagram depth doubles
+    from 8 while no level qualifies; past ``max_depth`` the search raises
+    TolTooTight.
     """
     if not slope_lt(theta, theta_prime):
         raise ValueError("need theta < theta_prime")
@@ -876,9 +879,9 @@ def witness_image_chain(
                 break
         depth *= 2
         if depth > max_depth:
-            raise AssertionError(
-                "witness search exhausted its depth budget; the interval "
-                "must be pathologically thin"
+            raise TolTooTight(
+                f"no witness level within diagram depth {max_depth}; "
+                "raise max_depth"
             )
 
     src = LimitObjectDescriptor(theta, PLUS)

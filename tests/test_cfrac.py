@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareyslopes.cfrac import (
     EventuallyPeriodic,
@@ -194,3 +195,99 @@ def test_semiconvergents_are_farey_neighbors():
                 assert a.is_farey_neighbor(b)
             for m, beta in enumerate(row):
                 assert semiconvergent(theta, i, m) == beta
+
+
+# -- closed-form sign against the convergent sandwich -------------------------
+
+# extremes: quotients >= 10^5, long preperiods and periods, negative a0
+_QUOTIENT = st.one_of(st.integers(1, 9), st.integers(10**5, 10**6))
+
+
+@st.composite
+def _surds(draw):
+    pre = [draw(st.integers(-10**6, 10**6))] + draw(st.lists(_QUOTIENT, max_size=40))
+    return EventuallyPeriodic(pre, draw(st.lists(_QUOTIENT, min_size=1, max_size=16)))
+
+
+@st.composite
+def _lattice_pairs(draw, theta):
+    """(m, n) with |m|, |n| up to 10^400, or next to a convergent: a multiple
+    of (q_k, -p_k + e) with e in {-1, 0, 1}, so |m*theta + n| is tiny."""
+    if draw(st.booleans()):
+        big = st.integers(-(10**400), 10**400)
+        return draw(big), draw(big)
+    p, q = theta.convergent_pair(draw(st.integers(-1, 80)))
+    k = draw(st.sampled_from((1, -1, 10**50)))
+    return k * q, k * (-p + draw(st.integers(-1, 1)))
+
+
+def _sandwich_sign(theta, m, n):
+    """sign(m*theta + n) from the convergents of a FinitePrefix with
+    theta's quotients, lengthened until it decides."""
+    depth = 4
+    while True:
+        try:
+            return FinitePrefix([theta.quotient(i) for i in range(depth)]).lattice_sign(m, n)
+        except PrecisionExhausted as exc:
+            assert exc.needed_depth > depth
+            depth = 2 * exc.needed_depth
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), _surds())
+def test_closed_form_sign_matches_sandwich(data, theta):
+    m, n = data.draw(_lattice_pairs(theta))
+    want = _sandwich_sign(theta, m, n)
+    assert theta.lattice_sign(m, n) == want
+    assert theta.lattice_sign(-m, -n) == -want
+    if m > 0:
+        assert compare_theta_rational(theta, F(-n, m)) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data(), _surds())
+def test_floor_ratio_brackets_the_ratio(data, theta):
+    a, b = data.draw(_lattice_pairs(theta))
+    c, d = data.draw(_lattice_pairs(theta))
+    if c == d == 0:
+        c = 1
+    k = theta.floor_ratio(a, b, c, d)
+    s = _sandwich_sign(theta, c, d)
+    # k <= (a*theta + b)/(c*theta + d) < k + 1
+    assert s * _sandwich_sign(theta, a - k * c, b - k * d) >= 0
+    assert s * _sandwich_sign(theta, a - (k + 1) * c, b - (k + 1) * d) < 0
+
+
+def test_closed_form_sign_spot_values():
+    assert golden.lattice_sign(0, 0) == 0
+    assert golden.lattice_sign(0, 7) == 1
+    assert golden.lattice_sign(5, -8) == 1 and golden.lattice_sign(8, -13) == -1
+    assert sqrt2.lattice_sign(2378, -3363) == -1  # 3363/2378 is above sqrt 2
+    neg = EventuallyPeriodic((-3, 100000), (1, 100000))
+    assert neg.lattice_sign(1, 3) == 1 and neg.lattice_sign(1, 2) == -1
+    assert sqrt2.floor_ratio(1, 0, 0, 1) == 1
+    assert sqrt2.floor_ratio(1000, 0, 0, 1) == 1414
+    assert sqrt2.floor_ratio(0, 1, 1, -1) == 2  # 1/(sqrt 2 - 1) = 2.414...
+    assert golden.floor_ratio(-1, 0, 0, 1) == -2
+    # q_i*theta - p_i sits just below 0 for odd i and just above it for even
+    # i, so its floor is -1 or 0 however close it gets
+    for theta in (golden, sqrt2, EventuallyPeriodic((-2, 7), (100000, 3))):
+        for i in range(40):
+            p, q = theta.convergent_pair(i)
+            assert theta.floor_ratio(q, -p, 0, 1) == -(i % 2)
+            assert theta.floor_ratio(-q, p, 0, -1) == -(i % 2)
+            assert theta.floor_ratio(q, 3 - p, 0, 1) == 3 - i % 2
+            if theta.lattice_sign(1, -1) > 0:  # theta > 1: (7 theta + q theta - p)/theta
+                assert theta.floor_ratio(7 + q, -p, 1, 0) == 7 - i % 2
+
+
+def test_sandwich_stops_at_the_first_deciding_convergent():
+    # 3/2 is golden's convergent 2: the pair (beta_2, beta_3) decides, so
+    # four known quotients suffice, and 144/89 needs a fifth
+    theta = FinitePrefix((1, 1, 1, 1))
+    assert theta.lattice_sign(2, -3) == 1
+    assert compare_theta_rational(theta, F(3, 2)) == GREATER
+    assert theta.lattice_sign(0, -1) == -1 and FinitePrefix((5,)).lattice_sign(0, 0) == 0
+    with pytest.raises(PrecisionExhausted) as e:
+        theta.lattice_sign(89, -144)
+    assert e.value.needed_depth == 5

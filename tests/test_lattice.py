@@ -4,8 +4,10 @@ import random
 import pytest
 
 from fareyslopes.cfrac import EventuallyPeriodic
+from fareyslopes.division import beads, division_points, ses_check
 from fareyslopes.errors import MismatchedTheta
 from fareyslopes.exact import INFINITY, ReducedFraction as F
+from fareyslopes.farey import left_right_vertices
 from fareyslopes.lattice import ThetaLatticeElement, chi, norm_to_fraction, theta_norm
 
 from _oracles import random_theta
@@ -106,3 +108,15 @@ def test_norm_to_fraction_rejects():
     with pytest.raises(ValueError):
         norm_to_fraction(el(1, -2))     # negative value
     assert norm_to_fraction(el(0, 1)) == INFINITY
+
+
+def test_division_never_computes_a_convergent():
+    # a slope no other test uses, so no cached answer stands in for the work
+    theta = EventuallyPeriodic((1, 3, 100000), (2, 5, 7))
+    r = F(2, 1)
+    points = division_points(theta, r, 6)
+    for c, e, d in zip(points, points[1:], points[3:]):
+        assert ses_check(theta, r, c, e, d).passed
+    assert beads(theta, r, points[0], points[-1]).labels == (r,)
+    left_right_vertices(theta, F(10**400 + 1, 10**400))
+    assert theta._memo == [(1, 0)]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fareyslopes.cfrac import EventuallyPeriodic
+from fareyslopes.errors import TolTooTight
 from fareyslopes.exact import INFINITY, ReducedFraction as F
 from fareyslopes.sheaves import (
     FINITE_DIVISION_ALGEBRA_BOUND,
@@ -307,6 +308,13 @@ def test_witness_image_chain():
     assert deep.nodes[1].rank > 7 and deep.nodes[3].rank > 7
     with pytest.raises(ValueError):
         witness_image_chain(sqrt2, golden, F(7, 5))  # not between the slopes
+
+
+def test_witness_depth_cap_raises_tol_too_tight():
+    # 3363/2378 is a convergent of sqrt 2: its witness needs diagram depth 32
+    with pytest.raises(TolTooTight):
+        witness_image_chain(sqrt2, golden, F(3363, 2378), max_depth=8)
+    assert witness_image_chain(sqrt2, golden, F(3363, 2378)).level == 9
 
 
 # -- multiplicities -------------------------------------------------------------------
