@@ -164,6 +164,7 @@ class EventuallyPeriodic(IrrationalNumber):
             period = [period[-1]] + period[:-1]
         self.preperiod = tuple(preperiod)
         self.period = tuple(period)
+        self._hash = hash((self.preperiod, self.period))
         self._memo = [(1, 0)]
         # θ as a quadratic surd.  The purely periodic tail φ = [b₁; b₂, …]
         # solves φ = (pφ + p′)/(qφ + q′), so qφ² − (p − q′)φ − p′ = 0.  φ is
@@ -231,7 +232,7 @@ class EventuallyPeriodic(IrrationalNumber):
         )
 
     def __hash__(self):
-        return hash((self.preperiod, self.period))
+        return self._hash
 
     def __str__(self):
         a0, rest = self.preperiod[0], self.preperiod[1:]
@@ -262,6 +263,7 @@ class FinitePrefix(IrrationalNumber):
             quotients = quotients[:budget]
         self.quotients = tuple(quotients)
         self.budget = len(self.quotients)
+        self._hash = hash(self.quotients)
         self._memo = [(1, 0)]
 
     def quotient(self, i: int) -> int:
@@ -281,7 +283,7 @@ class FinitePrefix(IrrationalNumber):
         return isinstance(other, FinitePrefix) and self.quotients == other.quotients
 
     def __hash__(self):
-        return hash(self.quotients)
+        return self._hash
 
     def __str__(self):
         a0, rest = self.quotients[0], self.quotients[1:]

@@ -531,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = dva.add_parser("rank", help="a chain of beads approximating a rank")
     q.add_argument("theta")
     q.add_argument("far")
-    q.add_argument("target", type=float)
-    q.add_argument("tol", type=float)
+    q.add_argument("target", help="a decimal or p/q, taken exactly")
+    q.add_argument("tol", help="a decimal or p/q, taken exactly")
     q.set_defaults(func=_cmd_divide_rank)
 
     # -- render --------------------------------------------------------------

@@ -9,13 +9,20 @@ division points are encoded by bead objects (direct sums of shifted stable
 classes read off a drop-and-merge game), whose rotated rank is exactly the
 interval length.  Chains of bead objects then realise any target rank below
 |r|_theta in the limit.
+
+Every split cuts strictly inside its parent, so the endpoints are ordered
+like the dyadic rationals: piece (level, k) is [k/2**level, (k+1)/2**level]
+of the root.  Each (theta, r) has one tree that keeps its pieces and
+endpoints by these addresses and summarises each bead once, so covers and
+SES checks are integer arithmetic on addresses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import List, Optional, Tuple, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
@@ -100,28 +107,126 @@ def divide(iv: DivisionInterval) -> Tuple[DivisionInterval, DivisionInterval]:
     return DivisionInterval(iv.a, c, l1), DivisionInterval(c, iv.b, r1)
 
 
+def _before(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
+    """Address x = (level, k) lies left of y: k/2**level cross-multiplied."""
+    return x[1] << y[0] < y[1] << x[0]
+
+
+class _DivisionTree:
+    """The division tree of |r|_theta, grown on demand.
+
+    ``nodes``: (level, k) -> piece, stored with its sibling once their
+    parent is split.  ``index``: endpoint (m, n) -> address in lowest terms;
+    the midpoint of piece (level, k) is (level + 1, 2k + 1).  ``beads``: a
+    pair of addresses -> (object, K-class, phase_sub_ok, phase_quot_ok).
+    """
+
+    def __init__(self, theta: IrrationalNumber, r: ReducedFraction):
+        self.theta, self.r = theta, r
+        self.nodes, self.index, self.beads = {}, {}, {}
+
+    def root(self) -> DivisionInterval:
+        if (0, 0) not in self.nodes:
+            root = self.nodes[0, 0] = root_interval(self.theta, self.r)
+            self.index[0, 0], self.index[root.b.m, root.b.n] = (0, 0), (0, 1)
+        return self.nodes[0, 0]
+
+    def children(self, level: int, k: int) -> Tuple[DivisionInterval, DivisionInterval]:
+        """The two halves of piece (level, k), split on first use."""
+        nodes, left, right = self.nodes, (level + 1, 2 * k), (level + 1, 2 * k + 1)
+        if left not in nodes:
+            nodes[left], nodes[right] = divide(nodes[level, k])
+            mid = nodes[left].b
+            self.index[mid.m, mid.n] = right
+        return nodes[left], nodes[right]
+
+    def address(self, x: ThetaLatticeElement, cap: int) -> Optional[Tuple[int, int]]:
+        """x's address if the tree has reached x, over theta, within depth cap."""
+        addr = self.index.get((x.m, x.n)) if x.theta == self.theta else None
+        return addr if addr and addr[0] <= cap else None
+
+    def locate(self, x: ThetaLatticeElement, cap: int) -> Tuple[int, int]:
+        """x's address, or NotDivisionPoint; a miss descends by exact
+        comparisons and splits the pieces it passes."""
+        root = self.root()
+        addr = self.address(x, max(cap, 0))  # the root's ends need no depth
+        if addr is not None:
+            return addr
+        if not (root.a < x < root.b):
+            raise NotDivisionPoint(f"{x!r} lies outside the root interval")
+        level = k = 0
+        for _ in range(cap):
+            mid = self.children(level, k)[0].b
+            level, k = level + 1, 2 * k
+            if x == mid:
+                return (level, k + 1)
+            k += not x < mid
+        raise NotDivisionPoint(f"{x!r} is not a division point within depth {cap}")
+
+    def cover(self, c: Tuple[int, int], d: Tuple[int, int]) -> List[ReducedFraction]:
+        """Labels of the maximal pieces inside [c, d], left to right: the
+        canonical dyadic decomposition of [i/2**n, j/2**n].  Each piece is a
+        child of a piece holding c or d inside, which locating them split."""
+        n = max(c[0], d[0])
+        lo, hi, left, right = c[1] << (n - c[0]), d[1] << (n - d[0]), [], []
+        while lo < hi:
+            if lo & 1:  # a right child: its parent reaches left of c
+                left.append(self.nodes[n, lo].vertex)
+            if hi & 1:  # hi - 1 is a left child whose parent reaches past d
+                right.append(self.nodes[n, hi - 1].vertex)
+            lo, hi, n = (lo + 1) >> 1, hi >> 1, n - 1
+        return left + right[::-1]
+
+    def bead(self, c: ThetaLatticeElement, d: ThetaLatticeElement, cap: int) -> tuple:
+        """The summary of the bead on [c, d], built on first use."""
+        summary = self.beads.get((self.address(c, cap), self.address(d, cap)))
+        if summary:
+            return summary
+        theta = self.theta
+        _require_window(theta, self.r)
+        if not c < d:
+            raise ValueError("need c < d")
+        key = (self.locate(c, cap), self.locate(d, cap))
+        labels = tuple(self.cover(*key))
+        phases = [_phase_key(theta, label) for label in labels]
+        runs = groupby((StableClass.from_fraction(v), shift) for shift, v in phases)
+        sheaf = SheafClass(tuple((cls, shift, len(list(g))) for (cls, shift), g in runs))
+        length = d - c
+        if sum((theta_norm(v, theta) for v in labels), ThetaLatticeElement(0, 0, theta)) != length:
+            raise AssertionError("piece norms must tile the interval exactly")
+        if rotated_rank(sheaf, theta) != length:
+            raise AssertionError("rotated rank must match")
+        summary = self.beads[key] = (
+            BeadObject((c, d), labels, sheaf, length),
+            sheaf.kclass(),
+            all(p >= phases[-1] for p in phases[:-1]),
+            all(phases[0] >= p for p in phases[1:]),
+        )
+        return summary
+
+
+@lru_cache(maxsize=32)
+def _tree(theta: IrrationalNumber, r: ReducedFraction) -> _DivisionTree:
+    """The one tree of (theta, r); the registry keeps the 32 last used."""
+    return _DivisionTree(theta, r)
+
+
 def division_points(
     theta: IrrationalNumber, r: ReducedFraction, depth: int
 ) -> List[ThetaLatticeElement]:
-    """All endpoints of tree pieces at depth <= depth, sorted exactly.
+    """All endpoints of tree pieces at depth <= depth, in increasing order.
 
     Contains 2**depth + 1 distinct points (theta irrational makes
     m*theta + n injective); the largest gap is nonincreasing in depth.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    root = root_interval(theta, r)
-    points = {root.a, root.b}
-    level = [root]
-    for _ in range(depth):
-        nxt = []
-        for iv in level:
-            left, right = divide(iv)
-            points.add(left.b)
-            nxt.append(left)
-            nxt.append(right)
-        level = nxt
-    return sorted(points)
+    tree = _tree(theta, r)
+    root = tree.root()
+    for level in range(depth):
+        for k in range(1 << level):
+            tree.children(level, k)
+    return [tree.nodes[depth, k].a for k in range(1 << depth)] + [root.b]
 
 
 # --------------------------------------------------------------------------
@@ -166,53 +271,6 @@ def _require_window(theta: IrrationalNumber, r: ReducedFraction) -> None:
         raise ValueError("need slope(r) - theta < 1")
 
 
-def _locate(root: DivisionInterval, x: ThetaLatticeElement, cap: int) -> None:
-    """Check that x is a tree endpoint within depth cap (raise otherwise)."""
-    if x == root.a or x == root.b:
-        return
-    if not (root.a < x < root.b):
-        raise NotDivisionPoint(f"{x!r} lies outside the root interval")
-    iv = root
-    for _ in range(cap):
-        left, right = divide(iv)
-        mid = left.b
-        if x == mid:
-            return
-        iv = left if x < mid else right
-    raise NotDivisionPoint(f"{x!r} is not a division point within depth {cap}")
-
-
-def _cover(
-    iv: DivisionInterval,
-    c: ThetaLatticeElement,
-    d: ThetaLatticeElement,
-    fuel: int,
-) -> List[ReducedFraction]:
-    """Rest positions of the bead game on [c, d] inside iv, left to right.
-
-    A piece whose interval is exactly [c, d] is a single rest position;
-    otherwise split and recurse on the parts on each side of the midpoint.
-    The result is the ordered list of maximal tree pieces covered by [c, d],
-    which is what dropping level-n beads and merging full branches leaves.
-    """
-    if c == iv.a and d == iv.b:
-        return [iv.vertex]
-    if fuel == 0:
-        raise NotDivisionPoint("bead cover descended past the depth cap")
-    left, right = divide(iv)
-    mid = left.b
-    if d <= mid:
-        return _cover(left, c, d, fuel - 1)
-    if mid <= c:
-        return _cover(right, c, d, fuel - 1)
-    return _cover(left, c, mid, fuel - 1) + _cover(right, mid, d, fuel - 1)
-
-
-@lru_cache(maxsize=1 << 16)
-def _shift_for(theta: IrrationalNumber, label: ReducedFraction) -> int:
-    return 1 if compare_theta_rational(theta, label) == GREATER else 0
-
-
 def _phase_key(
     theta: IrrationalNumber, label: ReducedFraction
 ) -> Tuple[int, ReducedFraction]:
@@ -222,10 +280,9 @@ def _phase_key(
     and within a shift the phase grows with the slope; no trigonometry is
     needed to compare.
     """
-    return (_shift_for(theta, label), label)
+    return (1 if compare_theta_rational(theta, label) == GREATER else 0, label)
 
 
-@lru_cache(maxsize=1 << 15)
 def beads(
     theta: IrrationalNumber,
     r: ReducedFraction,
@@ -240,37 +297,9 @@ def beads(
     the slope window 0 < slope(r) - theta < 1.  Summands collect the rest
     positions left to right, shift 1 for labels below theta; the class and
     rotated rank are additive over the pieces by construction, which is
-    checked, also under ``python -O``.  The result is immutable and memoized
-    (ses_check hits every window three ways).
+    checked, also under ``python -O``.  Each window's object is built once.
     """
-    _require_window(theta, r)
-    root = root_interval(theta, r)
-    if not c < d:
-        raise ValueError("need c < d")
-    _locate(root, c, cap)
-    _locate(root, d, cap)
-    labels = tuple(_cover(root, c, d, cap))
-
-    runs: List[Tuple[StableClass, int, int]] = []
-    for label in labels:
-        cls = StableClass.from_fraction(label)
-        shift = _shift_for(theta, label)
-        if runs and runs[-1][0] == cls and runs[-1][1] == shift:
-            prev = runs[-1]
-            runs[-1] = (prev[0], prev[1], prev[2] + 1)
-        else:
-            runs.append((cls, shift, 1))
-    sheaf = SheafClass(tuple(runs))
-
-    length = d - c
-    total = ThetaLatticeElement(0, 0, theta)
-    for label in labels:
-        total = total + theta_norm(label, theta)
-    if total != length:
-        raise AssertionError("piece norms must tile the interval exactly")
-    if rotated_rank(sheaf, theta) != length:
-        raise AssertionError("rotated rank must match")
-    return BeadObject((c, d), labels, sheaf, length)
+    return _tree(theta, r).bead(c, d, cap)[0]
 
 
 # --------------------------------------------------------------------------
@@ -318,10 +347,6 @@ class SESReport:
         }
 
 
-def _vec_add(u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
-    return (u[0] + v[0], u[1] + v[1])
-
-
 def ses_check(
     theta: IrrationalNumber,
     r: ReducedFraction,
@@ -329,26 +354,24 @@ def ses_check(
     e: ThetaLatticeElement,
     d: ThetaLatticeElement,
 ) -> SESReport:
-    """Verify the bead short exact sequence at the class/rank/phase level."""
-    if not (c < e < d):
-        raise ValueError("need c < e < d (strictly)")
-    whole = beads(theta, r, c, d)
-    sub = beads(theta, r, c, e)
-    quotient = beads(theta, r, e, d)
+    """Verify the bead short exact sequence at the class/rank/phase level.
 
-    class_additive = whole.summands.kclass() == _vec_add(
-        sub.summands.kclass(), quotient.summands.kclass()
-    )
-    rank_additive = whole.rank_theta == sub.rank_theta + quotient.rank_theta
-
-    sub_phases = [_phase_key(theta, v) for v in sub.labels]
-    quot_phases = [_phase_key(theta, v) for v in quotient.labels]
-    phase_sub_ok = all(p >= sub_phases[-1] for p in sub_phases[:-1])
-    phase_quot_ok = all(quot_phases[0] >= p for p in quot_phases[1:])
-
-    return SESReport(
-        sub, whole, quotient, class_additive, rank_additive, phase_sub_ok, phase_quot_ok
-    )
+    Each phase condition belongs to one bead, so its summary carries it.
+    """
+    tree = _tree(theta, r)
+    cap = _DEPTH_CAP
+    ac, ae, ad = tree.address(c, cap), tree.address(e, cap), tree.address(d, cap)
+    if not (ac and ae and ad and _before(ac, ae) and _before(ae, ad)):
+        if not (c < e < d):
+            raise ValueError("need c < e < d (strictly)")
+    known = tree.beads
+    whole, wk, _, _ = known.get((ac, ad)) or tree.bead(c, d, cap)
+    sub, sk, phase_sub_ok, _ = known.get((ac, ae)) or tree.bead(c, e, cap)
+    quotient, qk, _, phase_quot_ok = known.get((ae, ad)) or tree.bead(e, d, cap)
+    w, s, q = whole.rank_theta, sub.rank_theta, quotient.rank_theta
+    class_additive = wk == (sk[0] + qk[0], sk[1] + qk[1])
+    rank_additive = (w.m, w.n) == (s.m + q.m, s.n + q.n)
+    return SESReport(sub, whole, quotient, class_additive, rank_additive, phase_sub_ok, phase_quot_ok)
 
 
 # --------------------------------------------------------------------------
@@ -374,39 +397,41 @@ def rotated_rank(
 def approximate_rank(
     theta: IrrationalNumber,
     r: ReducedFraction,
-    target: float,
-    tol: float,
+    target: Fraction,
+    tol: Fraction,
     depth_cap: int = _DEPTH_CAP,
 ) -> List[BeadObject]:
     """Chain of prefix bead objects whose rotated ranks climb to ``target``.
 
     Walks the division tree toward the point at distance ``target`` from the
     left end, emitting E_[a, d_i] whenever a division point lands at or
-    below the target; stops once the last one is within ``tol``.  Needs
+    below the target; stops once the last one is within ``tol``.  Target and
+    tol are exact (anything ``Fraction`` takes), and x = m*theta + n lies at
+    or below p/q exactly when q*m*theta + q*n - p has sign <= 0.  Needs
     0 < target < |r|_theta and the slope window 0 < slope(r) - theta < 1;
     raises TolTooTight when ``depth_cap`` levels do not reach the tolerance.
     """
     _require_window(theta, r)
+    target, tol = Fraction(target), Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    root = root_interval(theta, r)
-    total = root.real_length()
-    if not 0 < target < total:
-        raise ValueError(f"target must lie strictly between 0 and {total}")
+    tree = _tree(theta, r)
+    root = tree.root()
 
+    def above(x: ThetaLatticeElement, v: Fraction) -> bool:
+        q = v.denominator
+        return theta.lattice_sign(q * x.m, q * x.n - v.numerator) > 0
+
+    if not (target > 0 and above(root.b, target)):
+        raise ValueError(f"target must lie strictly between 0 and {root.real_length()}")
     chain: List[BeadObject] = []
-    node = root
+    level = k = 0
     for _ in range(depth_cap):
-        left, right = divide(node)
-        mid = left.b
-        mid_value = (mid - root.a).value()
-        if mid_value <= target:
-            chain.append(beads(theta, r, root.a, mid, cap=depth_cap))
-            if target - mid_value < tol:
+        mid = tree.children(level, k)[0].b
+        level, k = level + 1, 2 * k
+        if not above(mid, target):
+            chain.append(tree.bead(root.a, mid, depth_cap)[0])
+            if above(mid, target - tol):
                 return chain
-            node = right
-        else:
-            node = left
-    raise TolTooTight(
-        f"no division point within {tol} of {target} in {depth_cap} levels"
-    )
+            k += 1
+    raise TolTooTight(f"no division point within {tol} of {target} in {depth_cap} levels")

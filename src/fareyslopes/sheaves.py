@@ -27,7 +27,7 @@ from .cfrac import (
 )
 from .errors import TolTooTight
 from .exact import ReducedFraction
-from .farey import bottom, farey_diagram, slope_lt
+from .farey import _slopes_equal, bottom, farey_diagram, slope_lt
 from .invariants import Stabilized, c_theta
 
 __all__ = [
@@ -628,10 +628,11 @@ def _classify_minus_to_stable(x: LimitObjectDescriptor, y: StableClass) -> HomRe
     )
 
 
-def _classify_minus_minus(
-    x: LimitObjectDescriptor, y: LimitObjectDescriptor, budget: int
+def _classify_minus_limit(
+    x: LimitObjectDescriptor, y: LimitObjectDescriptor, depth: int, budget: int
 ) -> HomReport:
-    if x.theta == y.theta:
+    # finite prefixes are never equal: slope_lt raises PrecisionExhausted
+    if _slopes_equal(x.theta, y.theta) and y.side == MINUS:
         report = c_theta(x.theta, budget)
         bound = (
             report.status.c ** 2 if isinstance(report.status, Stabilized) else None
@@ -646,26 +647,7 @@ def _classify_minus_minus(
             ext1_zero=True,
             c_chain=tuple(report.chain()),
         )
-    if slope_lt(y.theta, x.theta):
-        return HomReport(
-            x,
-            y,
-            ZERO,
-            clause="target slope strictly below source: maps vanish",
-        )
-    return HomReport(
-        x,
-        y,
-        UNKNOWN,
-        clause="target slope above source: extensions vanish",
-        ext1_zero=True,
-    )
-
-
-def _classify_minus_plus(
-    x: LimitObjectDescriptor, y: LimitObjectDescriptor, depth: int
-) -> HomReport:
-    if x.theta == y.theta:
+    if _slopes_equal(x.theta, y.theta):
         factors = tuple(
             (x.theta.convergent_pair(i)[1] ** 2, x.theta.quotient(i + 1))
             for i in range(depth)
@@ -712,25 +694,16 @@ def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomR
         return _classify_stable_pair(x, y)
     if isinstance(x, StableClass):
         return _classify_from_stable(x, y)
-    if isinstance(y, StableClass):
-        if x.side == MINUS:
-            return _classify_minus_to_stable(x, y)
+    if x.side != MINUS:
         return HomReport(
             x,
             y,
             UNKNOWN,
             clause="no rule constrains maps out of the plus-side limit",
         )
-    if x.side == MINUS:
-        if y.side == MINUS:
-            return _classify_minus_minus(x, y, budget)
-        return _classify_minus_plus(x, y, depth)
-    return HomReport(
-        x,
-        y,
-        UNKNOWN,
-        clause="no rule constrains maps out of the plus-side limit",
-    )
+    if isinstance(y, StableClass):
+        return _classify_minus_to_stable(x, y)
+    return _classify_minus_limit(x, y, depth, budget)
 
 
 # --------------------------------------------------------------------------

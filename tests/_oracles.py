@@ -354,3 +354,59 @@ def reference_diagram(theta: IrrationalNumber, far, depth: int) -> dict:
         "left_labels": [[i, str(v)] for i, v in numbered["l"]],
         "right_labels": [[i, str(v)] for i, v in numbered["r"]],
     }
+
+
+# -- the division tree by exact comparisons --------------------------------
+
+
+def division_points_sorted(theta: IrrationalNumber, r: ReducedFraction, depth: int):
+    """Every endpoint of the pieces down to `depth`, collected level by
+    level and then sorted by exact comparison."""
+    from fareyslopes.division import divide, root_interval
+
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    root = root_interval(theta, r)
+    points, level = {root.a, root.b}, [root]
+    for _ in range(depth):
+        level = [child for iv in level for child in divide(iv)]
+        points.update(iv.b for iv in level[::2])
+    return sorted(points)
+
+
+def locate_descent(root, x, cap: int) -> None:
+    """Raise NotDivisionPoint unless x is an endpoint within depth cap,
+    comparing x with the midpoint of each piece on the way down."""
+    from fareyslopes.division import divide
+    from fareyslopes.errors import NotDivisionPoint
+
+    if x == root.a or x == root.b:
+        return
+    if not (root.a < x < root.b):
+        raise NotDivisionPoint(f"{x!r} lies outside the root interval")
+    iv = root
+    for _ in range(cap):
+        left, right = divide(iv)
+        if x == left.b:
+            return
+        iv = left if x < left.b else right
+    raise NotDivisionPoint(f"{x!r} is not a division point within depth {cap}")
+
+
+def cover_recursive(iv, c, d, fuel: int):
+    """Labels of the maximal pieces of iv inside [c, d], left to right:
+    an exact piece is one label, otherwise split at the midpoint."""
+    from fareyslopes.division import divide
+    from fareyslopes.errors import NotDivisionPoint
+
+    if c == iv.a and d == iv.b:
+        return [iv.vertex]
+    if fuel == 0:
+        raise NotDivisionPoint("bead cover descended past the depth cap")
+    left, right = divide(iv)
+    mid = left.b
+    if d <= mid:
+        return cover_recursive(left, c, d, fuel - 1)
+    if mid <= c:
+        return cover_recursive(right, c, d, fuel - 1)
+    return cover_recursive(left, c, mid, fuel - 1) + cover_recursive(right, mid, d, fuel - 1)

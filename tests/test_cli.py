@@ -95,6 +95,24 @@ def test_product_of_equal_prefixes_exits_three(capsys):
     assert "needed depth: 4" in err
 
 
+def test_classify_equal_prefixes_exits_three(capsys):
+    # [1;1,1,(2)] and [1;(1)] complete the same prefix to different slopes
+    code, out, err = run(capsys, "sheaf", "classify", "[1;1,1]-", "[1;1,1]-")
+    assert code == 3 and out == ""
+    assert "needed depth: 4" in err
+    code, out, _ = run(capsys, "sheaf", "classify", "[1;(1)]-", "[1;(1)]-")
+    assert code == 0 and json.loads(out)["verdict"] == "FiniteDivisionAlgebraBound"
+
+
+def test_divide_rank_takes_exact_decimals(capsys):
+    code, out, _ = run(capsys, "divide", "rank", "[1;(1)]", "2/1", "0.12232177361220535", "1e-8")
+    assert code == 0
+    m, n = (json.loads(out)[-1]["rank_theta"][k] for k in "mn")
+    # 0.12232177361220535 - 1e-8 < m*golden + n <= 0.12232177361220535, exactly
+    assert golden.lattice_sign(10**17 * m, 10**17 * n - 12232177361220535) <= 0
+    assert golden.lattice_sign(10**17 * m, 10**17 * n - 12232176361220535) > 0
+
+
 def test_diagram_roundtrip(capsys):
     code, out, _ = run(capsys, "farey", "diagram", "[1;(1)]", "1/0", "--depth", "5")
     assert code == 0

@@ -1,13 +1,17 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fareyslopes.cfrac import EventuallyPeriodic
+from fareyslopes import division
+from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.division import (
     DivisionInterval,
     _phase_key,
+    _require_window,
     approximate_rank,
     beads,
     divide,
@@ -16,12 +20,18 @@ from fareyslopes.division import (
     rotated_rank,
     ses_check,
 )
-from fareyslopes.errors import NotDivisionPoint, TolTooTight
+from fareyslopes.errors import MismatchedTheta, NotDivisionPoint, PrecisionExhausted, TolTooTight
 from fareyslopes.exact import ReducedFraction as F
 from fareyslopes.lattice import ThetaLatticeElement, theta_norm
 from fareyslopes.sheaves import StableClass
 
-from _oracles import game_rest_positions, random_theta
+from _oracles import (
+    cover_recursive,
+    division_points_sorted,
+    game_rest_positions,
+    locate_descent,
+    random_theta,
+)
 
 golden = EventuallyPeriodic((1,), (1,))
 PHI = (1 + math.sqrt(5)) / 2
@@ -216,6 +226,137 @@ def test_approximate_rank():
         approximate_rank(golden, F(2, 1), 0.2, -1.0)
     with pytest.raises(TolTooTight):
         approximate_rank(golden, F(2, 1), 0.2, 1e-30)
+
+
+def test_approximate_rank_is_exact():
+    # a depth-30 float put this chain's last rank 2.09e-7 below the target
+    target, tol = Fraction("0.12232177361220535"), Fraction("1e-8")
+    try:
+        chain = approximate_rank(golden, F(2, 1), target, tol)
+    except TolTooTight:
+        return
+    p, q = target.numerator, target.denominator
+    low = target - tol
+    signs = [golden.lattice_sign(q * b.rank_theta.m, q * b.rank_theta.n - p) for b in chain]
+    assert all(sign <= 0 for sign in signs)
+    last = chain[-1].rank_theta
+    assert golden.lattice_sign(low.denominator * last.m, low.denominator * last.n - low.numerator) > 0
+    # the range check is exact too: |2|_golden = 3 - golden lies in (0.38196, 0.38197)
+    with pytest.raises(ValueError, match="strictly between"):
+        approximate_rank(golden, F(2, 1), Fraction("0.38197"), tol)
+    assert approximate_rank(golden, F(2, 1), Fraction("0.38196"), Fraction(1, 10))
+
+
+_P = ThetaLatticeElement
+_X, _OUT = _P(2, -3, golden), _P(1, 0, golden)  # inside but not a point; outside
+silver = EventuallyPeriodic((1,), (2,))
+
+
+def _on_silver(x):
+    return _P(x.m, x.n, silver)
+
+
+# what the comparison-based code raised; a cold and a warm tree must agree
+_RAISES = [
+    (lambda: beads(golden, F(1, 0), p0, p1), ValueError, "need slope(r) > theta"),
+    (lambda: beads(golden, F(3, 1), p0, p1), ValueError, "need slope(r) - theta < 1"),
+    (lambda: beads(golden, F(8, 5), p0, p1), ValueError, "need slope(r) > theta"),
+    (lambda: beads(golden, F(2, 1), p0, _OUT), NotDivisionPoint, "ThetaLatticeElement(1, 0) lies outside the root interval"),
+    (lambda: beads(golden, F(2, 1), p0, _X, cap=6), NotDivisionPoint, "ThetaLatticeElement(2, -3) is not a division point within depth 6"),
+    (lambda: beads(golden, F(2, 1), p1, p1), ValueError, "need c < d"),
+    (lambda: beads(golden, F(2, 1), p3, p1), ValueError, "need c < d"),
+    (lambda: beads(golden, F(2, 1), p4, _X), ValueError, "need c < d"),
+    (lambda: beads(golden, F(2, 1), _on_silver(p0), _on_silver(p2)), MismatchedTheta, "elements live over different θ"),
+    (lambda: beads(golden, F(2, 1), p0, _on_silver(p2)), MismatchedTheta, "elements live over different θ"),
+    (lambda: ses_check(golden, F(2, 1), p0, p0, p4), ValueError, "need c < e < d (strictly)"),
+    (lambda: ses_check(golden, F(2, 1), p0, p4, _X), ValueError, "need c < e < d (strictly)"),
+    (lambda: ses_check(golden, F(2, 1), _X, p0, p4), ValueError, "need c < e < d (strictly)"),
+    (lambda: ses_check(golden, F(2, 1), p4, p2, _OUT), ValueError, "need c < e < d (strictly)"),
+    (lambda: ses_check(golden, F(2, 1), p0, _X, p4), NotDivisionPoint, "ThetaLatticeElement(2, -3) is not a division point within depth 64"),
+    (lambda: ses_check(golden, F(2, 1), p0, p4, _OUT), NotDivisionPoint, "ThetaLatticeElement(1, 0) lies outside the root interval"),
+    (lambda: ses_check(golden, F(3, 1), p0, p2, p4), ValueError, "need slope(r) - theta < 1"),
+    (lambda: ses_check(golden, F(3, 1), p4, p2, p0), ValueError, "need c < e < d (strictly)"),
+    (lambda: ses_check(golden, F(2, 1), *map(_on_silver, (p0, p1, p2))), ValueError, "need c < e < d (strictly)"),
+    (lambda: ses_check(golden, F(2, 1), p0, p1, _on_silver(p2)), MismatchedTheta, "elements live over different θ"),
+    (lambda: ses_check(golden, F(2, 1), _on_silver(p0), p1, p2), MismatchedTheta, "elements live over different θ"),
+]
+
+
+def test_errors_do_not_depend_on_what_the_tree_holds():
+    division._tree.cache_clear()
+    for warm in (False, True):
+        for call, kind, message in _RAISES:
+            with pytest.raises(kind) as info:
+                call()
+            assert type(info.value) is kind and str(info.value) == message
+        for theta, r in ((golden, F(2, 1)), (silver, F(3, 2)), (golden, F(3, 1))):
+            division_points(theta, r, 6)
+
+
+def test_depth_cap_holds_for_points_already_located():
+    deep = division_points(golden, F(2, 1), 5)[1]  # odd index: depth exactly 5
+    assert beads(golden, F(2, 1), p0, deep).labels  # located with the default cap
+    assert beads(golden, F(2, 1), p0, deep, cap=5).labels
+    for cap in (3, 4):
+        with pytest.raises(NotDivisionPoint, match=f"is not a division point within depth {cap}$"):
+            beads(golden, F(2, 1), p0, deep, cap=cap)
+    assert beads(golden, F(2, 1), p0, p4, cap=0).labels == (F(2, 1),)
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except PrecisionExhausted as exc:
+        return ("PrecisionExhausted", str(exc), exc.needed_depth)
+    except (NotDivisionPoint, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _beads_by_comparison(theta, r, c, d, cap):
+    _require_window(theta, r)
+    if not c < d:
+        raise ValueError("need c < d")
+    root = root_interval(theta, r)
+    locate_descent(root, c, cap)
+    locate_descent(root, d, cap)
+    return tuple(cover_recursive(root, c, d, cap))
+
+
+_QUOTIENT = st.one_of(st.integers(1, 9), st.integers(1, 10**4))
+
+
+@st.composite
+def _slopes(draw):
+    """A slope with a0 in -6..6 and quotients up to 10^4, or a finite prefix
+    of one, with r = convergent 1 inside the bead window."""
+    pre = [draw(st.integers(-6, 6))] + draw(st.lists(_QUOTIENT, min_size=1, max_size=5))
+    theta = EventuallyPeriodic(pre, draw(st.lists(_QUOTIENT, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        theta = FinitePrefix([theta.quotient(i) for i in range(draw(st.integers(2, 10)))])
+    return theta, theta.convergent(1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_slopes(), st.integers(1, 8), st.booleans(), st.data())
+def test_tree_matches_comparison_oracles(slope, depth, warm, data):
+    theta, r = slope
+    want = _outcome(lambda: division_points_sorted(theta, r, depth))
+    if warm:
+        assert _outcome(lambda: division_points(theta, r, depth)) == want
+    else:
+        division._tree.cache_clear()
+    if want[0] != "ok":
+        return
+    points = want[1]
+    probes = points + [_P(x.m, x.n + 1, theta) for x in points[:: max(1, len(points) // 3)]]
+    pairs = st.lists(st.integers(0, len(probes) - 1), min_size=2, max_size=2, unique=True)
+    for _ in range(8):
+        i, j = sorted(data.draw(pairs))
+        c, d = (probes[i], probes[j]) if data.draw(st.integers(0, 5)) else (probes[j], probes[i])
+        cap = data.draw(st.one_of(st.just(depth), st.integers(0, depth)))
+        got = _outcome(lambda: beads(theta, r, c, d, cap).labels)
+        assert got == _outcome(lambda: _beads_by_comparison(theta, r, c, d, cap))
+    assert _outcome(lambda: division_points(theta, r, depth)) == want
 
 
 def test_to_dict_shapes():

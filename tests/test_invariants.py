@@ -135,8 +135,8 @@ _BROKEN = {
     # a_{2i+2} disagrees with the memoized convergents from i = 1 on
     "gcd(q_2, a_4) != gcd(q_2, q_4)": "golden.convergent_pair(8); golden.quotient = lambda i: 6; d_chain(golden, 3)",
     # the cover drops a label, so the pieces no longer tile [c, d]
-    "piece norms must tile the interval exactly": "cover = div._cover; div._cover = lambda *a: cover(*a)[:-1]; "
-    + _BEADS,
+    "piece norms must tile the interval exactly": "tree = div._DivisionTree; cover = tree.cover; "
+    "tree.cover = lambda *a: cover(*a)[:-1]; " + _BEADS,
     "rotated rank must match": "rank = div.rotated_rank; div.rotated_rank = lambda s, t: rank(s, t) + rank(s, t); "
     + _BEADS,
 }
