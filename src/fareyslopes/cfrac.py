@@ -16,7 +16,6 @@ the convenience ``approx`` used by rendering and test oracles.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -102,6 +101,31 @@ class IrrationalNumber:
             if even * odd >= 0:
                 return 1 if even + odd > 0 else -1
             i += 1
+
+    def floor_ratio(self, a: int, b: int, c: int, d: int) -> int:
+        """⌊(aθ + b)/(cθ + d)⌋ by Gosper's homographic algorithm (HAKMEM 101).
+
+        Feeding θ's quotient t replaces (a b; c d) by (at + b  a; ct + d  c),
+        so after a₀ … a_{k−1} the ratio is (aθ_k + b)/(cθ_k + d) for the
+        complete quotient θ_k > 1.  When c and c + d share a sign it lies
+        strictly between a/c and (a + b)/(c + d), and the floor is decided
+        once no integer lies strictly between those two ends; either end
+        may itself be an integer.  A FinitePrefix raises PrecisionExhausted
+        at the first quotient that still leaves the floor open.
+        """
+        if c == 0 and d == 0:
+            raise ValueError("c*theta + d must be nonzero")
+        k = 0
+        while True:
+            t = self.quotient(k)
+            a, b, c, d = a * t + b, a, c * t + d, c
+            k += 1
+            if c < 0 and c + d < 0:
+                a, b, c, d = -a, -b, -c, -d
+            if c > 0 and c + d > 0:
+                n = min(a // c, (a + b) // (c + d))
+                if a <= (n + 1) * c and a + b <= (n + 1) * (c + d):
+                    return n
 
     def approx(self, depth: int = 30) -> float:
         """Float estimate from the depth-th convergent (oracle/render use only)."""
@@ -204,26 +228,6 @@ class EventuallyPeriodic(IrrationalNumber):
             return 1 if u > 0 else -1
         return (x > 0) - (x < 0)
 
-    def floor_ratio(self, a: int, b: int, c: int, d: int) -> int:
-        """⌊(aθ + b)/(cθ + d)⌋ for cθ + d ≠ 0, with no convergent computed.
-
-        Multiplying (u₁ + x₁√Δ)/(u₂ + x₂√Δ) by the conjugate of its
-        denominator leaves (num + coef·√Δ)/den with integers num, coef and
-        den ≠ 0, and ⌊|coef|·√Δ⌋ is an integer square root.
-        """
-        disc = self._disc
-        u1, x1 = self._surd_coords(a, b)
-        u2, x2 = self._surd_coords(c, d)
-        num = u1 * u2 - x1 * x2 * disc
-        coef = x1 * u2 - u1 * x2
-        den = u2 * u2 - x2 * x2 * disc
-        if den < 0:
-            num, coef, den = -num, -coef, -den
-        root = math.isqrt(coef * coef * disc)
-        if coef < 0:
-            root = -root - 1  # coef·√Δ lies strictly between −root − 1 and −root
-        return (num + root) // den
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, EventuallyPeriodic)
@@ -253,16 +257,13 @@ class EventuallyPeriodic(IrrationalNumber):
 class FinitePrefix(IrrationalNumber):
     """An irrational known only through finitely many partial quotients."""
 
-    def __init__(self, quotients, budget=None):
+    def __init__(self, quotients):
         quotients = [int(a) for a in quotients]
         if not quotients:
             raise ValueError("a0 must be given explicitly")
         if any(a < 1 for a in quotients[1:]):
             raise ValueError("partial quotients a_i must be >= 1 for i >= 1")
-        if budget is not None and budget < len(quotients):
-            quotients = quotients[:budget]
         self.quotients = tuple(quotients)
-        self.budget = len(self.quotients)
         self._hash = hash(self.quotients)
         self._memo = [(1, 0)]
 
@@ -350,14 +351,6 @@ def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
     if (x.quotient(k) < y.quotient(k)) == (k % 2 == 0):
         return LESS
     return GREATER
-
-
-def theta_lt(theta: IrrationalNumber, r: ReducedFraction) -> bool:
-    return compare_theta_rational(theta, r) == LESS
-
-
-def theta_gt(theta: IrrationalNumber, r: ReducedFraction) -> bool:
-    return compare_theta_rational(theta, r) == GREATER
 
 
 # -- convergent and semiconvergent tables -----------------------------------

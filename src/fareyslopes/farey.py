@@ -26,16 +26,15 @@ from typing import Iterator, Literal, Optional, Union
 from .cfrac import (
     GREATER,
     LESS,
-    EventuallyPeriodic,
     FinitePrefix,
     IrrationalNumber,
     common_prefix,
     compare_irrationals,
     compare_theta_rational,
 )
-from .errors import NoPath, PrecisionExhausted
+from .errors import NoPath
 from .exact import ReducedFraction
-from .lattice import chi, norm_to_fraction, theta_norm, ThetaLatticeElement
+from .lattice import norm_to_fraction, theta_norm, ThetaLatticeElement
 
 Slope = Union[ReducedFraction, IrrationalNumber]
 
@@ -142,7 +141,6 @@ class FareyTriangle:
         a, b, c = vs
         if not (is_farey_geodesic(a, b) and is_farey_geodesic(b, c) and is_farey_geodesic(a, c)):
             raise ValueError(f"not a Farey triangle: {a}, {b}, {c}")
-        assert b == a.mediant(c), "middle vertex must be the mediant of the outer two"
 
     def edges(self) -> tuple[tuple[ReducedFraction, ReducedFraction], ...]:
         a, b, c = self.vertices
@@ -186,54 +184,20 @@ def left_right_vertices(
 
     Characterized by: |l1| + |r1| = |r| in the theta-lattice, both norms
     positive and smaller than |r|, and the pairing chi(|l1|, |r|) = +1 (so
-    chi(|r1|, |r|) = -1).  Solved with the extended Euclidean algorithm;
-    the unique integer translate landing in the value window
-    (0, value(|r|)) is an exact floor for an EventuallyPeriodic theta.  For
-    a FinitePrefix it is estimated with theta replaced by a convergent p/q
-    and then corrected by exact sign tests.
+    chi(|r1|, |r|) = -1).  The extended Euclidean algorithm gives one x
+    with chi(x, |r|) = 1; |l1| is its unique translate x + k*|r| in the
+    value window (0, value(|r|)), with k - 1 = floor(-x / |r|) read off
+    theta's quotients by `IrrationalNumber.floor_ratio`.  A FinitePrefix
+    that cannot decide that floor, or the signs `norm_to_fraction` checks,
+    raises PrecisionExhausted.
     """
     w = theta_norm(r, theta)
-    # chi(x, w) = w.m * x.n - w.n * x.m = 1 is solvable since gcd(w.m, w.n)
-    # is 1; the extended Euclid identity w.m*s + w.n*t = 1 gives x0 = (-t, s)
-    g, s, t = _xgcd(w.m, w.n)
-    assert g == 1
+    # theta_norm's lift is primitive, so the extended Euclid identity
+    # w.m*s + w.n*t = 1 gives chi(x, w) = w.m*s + w.n*t = 1 for x = (-t, s)
+    _, s, t = _xgcd(w.m, w.n)
     x = ThetaLatticeElement(-t, s, theta)
-    assert chi(x, w) == 1
-    if isinstance(theta, EventuallyPeriodic):
-        # the smallest k with x + k*w > 0, exactly
-        x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
-    else:
-        # the same k at theta = p/q; |r| stays positive there, since r does
-        # not lie between theta and such a convergent (the deepest
-        # convergent of a FinitePrefix may; the loops then do it all)
-        p, q = _convergent_past(theta, r.q)
-        den = w.m * p + w.n * q
-        if den > 0:
-            x = x + w.scaled(-(x.m * p + x.n * q) // den + 1)
-    while x.sign() <= 0:
-        x = x + w
-    while (x - w).sign() >= 0:
-        x = x - w
-    y = w - x
-    assert x.sign() > 0 and y.sign() > 0
-    return norm_to_fraction(x), norm_to_fraction(y)
-
-
-def _convergent_past(theta: IrrationalNumber, q: int) -> tuple[int, int]:
-    """(p_i, q_i) two convergents past the first with denominator above q.
-
-    Fractions strictly between theta and p_i/q_i have denominators above
-    q_i, so no fraction of denominator q separates them, and the two extra
-    convergents keep the translate estimate within a step or so.  A
-    FinitePrefix that runs out first gives its deepest convergent.
-    """
-    i = 0
-    try:
-        while theta.convergent_pair(i)[1] <= q:
-            i += 1
-        return theta.convergent_pair(i + 2)
-    except PrecisionExhausted:
-        return theta.convergent_pair(theta.available_depth())
+    x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
+    return norm_to_fraction(x), norm_to_fraction(w - x)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -370,7 +334,8 @@ def farey_diagram(theta: IrrationalNumber, r: Slope, depth: int) -> FareyDiagram
         return _two_ended_diagram(theta, r, depth)
     l1, r1 = left_right_vertices(theta, r)
     # chi sign and arc side agree by the sign identity; keep both honest
-    assert not _on_lower_arc(l1, theta, r) and _on_lower_arc(r1, theta, r)
+    if _on_lower_arc(l1, theta, r) or not _on_lower_arc(r1, theta, r):
+        raise AssertionError("l1 must lie on the upper arc and r1 on the lower arc")
     triangles, left, right = _fan(r1, l1, theta, depth - 1)
     return FareyDiagram(
         theta,
@@ -412,7 +377,8 @@ def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int)
         raise ValueError("a diagram needs two distinct slopes")
     lo, hi = _base_edge(theta, r)
     l0, r0 = (hi, lo) if _on_lower_arc(lo, theta, r) else (lo, hi)
-    assert not _on_lower_arc(l0, theta, r) and _on_lower_arc(r0, theta, r)
+    if _on_lower_arc(l0, theta, r) or not _on_lower_arc(r0, theta, r):
+        raise AssertionError("the base edge must have one end on each arc")
     ahead, ahead_l, ahead_r = _fan(r0, l0, theta, depth)
     behind, behind_l, behind_r = _fan(r0, l0, r, depth)
     return FareyDiagram(
@@ -682,7 +648,8 @@ def roller_coaster(theta: IrrationalNumber, depth: int) -> RollerCoaster:
             a, b = b, a
         key = (a, b)
         if key in labels:
-            assert classes[key] == cls or cls == "interior"
+            if classes[key] != cls and cls != "interior":
+                raise AssertionError(f"edge {a}--{b} is both {classes[key]} and {cls}")
             return
         labels[key] = _difference_vertex(b, a)
         classes[key] = cls
@@ -709,7 +676,7 @@ def shortest_path_bundle(
 
     Directed edges run from the smaller fraction to the larger, so a path
     exists only if start < end (and both are coaster vertices); raises
-    NoPath otherwise.  Asserts uniqueness of the shortest path.
+    NoPath otherwise.  A second shortest path raises AssertionError.
     """
     if start not in rc.family_index or end not in rc.family_index:
         raise NoPath(f"{start} or {end} is not a vertex of this roller coaster")
@@ -736,7 +703,8 @@ def shortest_path_bundle(
                 ways[w] += ways[v]
     if end not in dist:
         raise NoPath(f"no directed path from {start} to {end}")
-    assert ways[end] == 1, "shortest path is not unique"
+    if ways[end] != 1:
+        raise AssertionError("shortest path is not unique")
     path: list[ReducedFraction] = []
     v = end
     while v != start:

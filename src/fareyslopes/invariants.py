@@ -5,8 +5,9 @@ gcds of even-index convergent denominators with the even-index quotients past
 them; c_i divides c_j for j ≥ i, and the limit (eventual constant) is the
 invariant c.  For an eventually periodic stream the tail gcd is the gcd of
 one full cycle of even-index period quotients, so every c_i is computed
-exactly and stabilisation of the chain is *certified* by cycling a finite
-state.  A finite prefix can only ever give lower bounds.
+exactly and the chain is *certified* constant past the preperiod, where the
+length of the cycle it lists has a closed form.  A finite prefix can only
+ever give lower bounds.
 
 The constructor at the bottom produces quotient prefixes whose chain grows
 strictly forever: every prime of q_{2i} divides a_{2i+2} exactly once and a
@@ -72,10 +73,12 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
     """The chain c_i = gcd(q_{2i}, a_{2i+2}, a_{2i+4}, …) and its limit.
 
     EventuallyPeriodic input always stabilises: past the preperiod the tail
-    gcd is a fixed A (one full cycle of even-index period quotients), so
-    c_i = gcd(q_{2i}, A) and the chain is monotone in divisibility and
-    bounded by A; a repeated state (period phase, q_{2i} mod A, q_{2i+1}
-    mod A) certifies constancy from the first occurrence on.
+    gcd is a fixed A (one full cycle of even-index period quotients) that
+    divides every even-index quotient, so q_{2i} mod A and hence
+    c_i = gcd(q_{2i}, A) are constant there.  The chain lists the preperiod
+    entries, then that constant once per step of the cycle of states
+    (period phase, q_{2i} mod A, q_{2i+1} mod A), whose length is found in
+    closed form, plus the entry where the first state repeats.
 
     FinitePrefix input folds quotients up to a common cutoff and reports
     LowerBoundOnly: the true c_i divides each reported value (deeper
@@ -94,25 +97,20 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
             _, q2i = theta.convergent_pair(2 * i)
             report.c_values.append((i, math.gcd(q2i, _tail_gcd(theta, 2 * i + 2))))
             i += 1
-        # Past the preperiod the whole future is determined by the phase and
-        # the q-pair mod A (A constant along the chain), so only the pair mod
-        # A is carried on; the 2ℓ·A² states bound the loop.
+        # Past the preperiod A divides every a_{2i+2}, so q_{2i+2} ≡ q_{2i}
+        # ≡ Q (mod A) and c_i = gcd(Q, A) from here on, while q_{2i+1} mod A
+        # steps by Q·a_{2i+3}.  The state (phase, q_{2i} mod A, q_{2i+1}
+        # mod A) therefore first returns after L = ℓ·A / gcd(A, Q·S) steps,
+        # S being the sum of the odd-index quotients over one period, and the
+        # chain lists that cycle once, closing with its repeated entry.
         A = _tail_gcd(theta, 2 * i + 2)
-        _, q2i = theta.convergent_pair(2 * i)
-        _, q2i1 = theta.convergent_pair(2 * i + 1)
-        q2i, q2i1 = q2i % A, q2i1 % A
-        seen = set()
-        while True:
-            c_i = math.gcd(q2i, A)
-            report.c_values.append((i, c_i))
-            key = ((2 * i - n0) % (2 * ell), q2i, q2i1)
-            if key in seen:
-                report.status = Stabilized(c_i)
-                return report
-            seen.add(key)
-            q2i = (theta.quotient(2 * i + 2) * q2i1 + q2i) % A
-            q2i1 = (theta.quotient(2 * i + 3) * q2i + q2i1) % A
-            i += 1
+        Q = theta.convergent_pair(2 * i)[1] % A
+        S = sum(theta.quotient(2 * j + 3) for j in range(i, i + ell))
+        c = math.gcd(Q, A)
+        L = ell * A // math.gcd(A, Q * S)
+        report.c_values.extend((j, c) for j in range(i, i + L + 1))
+        report.status = Stabilized(c)
+        return report
 
     # Finite prefix: fold everything available up to the budget.  Entries
     # that would fold no quotient at all (bare q_{2i}) are not evidence and

@@ -280,7 +280,8 @@ def hom_ext_dims(a: StableClass, b: StableClass) -> Tuple[DimPair, DimPair]:
         hom, ext1 = chi, DimPair(0, 0)
     else:
         hom, ext1 = DimPair(0, 0), -chi
-    assert hom.dim >= 0 and ext1.dim >= 0 and hom - ext1 == chi
+    if hom.dim < 0 or ext1.dim < 0:
+        raise AssertionError("hom and ext1 dimensions must be non-negative")
     return hom, ext1
 
 
@@ -343,7 +344,8 @@ def enumerate_minimal_triangles(
             if not e.slope() < g.slope():
                 continue
             f = StableClass(e.degree + g.degree, e.rank + g.rank)
-            assert is_minimal_triangle(e, f, g)
+            if not is_minimal_triangle(e, f, g):
+                raise AssertionError(f"{e}, {f}, {g} is not a minimal triangle")
             triples.append((e, f, g))
     triples.sort(key=lambda t: (t[1].degree, t[1].rank, t[0].degree, t[0].rank))
     return triples
@@ -480,8 +482,8 @@ def endo_dim_bound(desc: LimitObjectDescriptor, budget: int = 64) -> EndoBoundRe
     else:
         c, bound, stabilized = None, None, False
     bounded = _tail_bounded_by_two(desc.theta)
-    if bounded and c is not None:
-        assert c in (1, 2)  # gcds of quotients <= 2 cannot exceed 2
+    if bounded and c not in (None, 1, 2):
+        raise AssertionError("gcds of quotients <= 2 cannot exceed 2")
     return EndoBoundReport(
         theta=desc.theta,
         stabilized=stabilized,
@@ -791,7 +793,8 @@ def _rational_arrow(a: StableClass, b: StableClass) -> ChainArrow:
         kind, dp, dq = "injection", b.degree - a.degree, b.rank - a.rank
     else:
         kind, dp, dq = "surjection", a.degree - b.degree, a.rank - b.rank
-    assert dq > 0 or (dq == 0 and dp > 0)
+    if dq == 0 and dp <= 0:
+        raise AssertionError(f"no rational arrow from {a} to {b}")
     g = math.gcd(abs(dp), dq)
     return ChainArrow(a, b, kind, (StableClass(dp // g, dq // g), g))
 
@@ -868,9 +871,6 @@ def witness_image_chain(
         _rational_arrow(o_r, o_hi),
         ChainArrow(o_hi, dst, "injection"),
     )
-    for arrow in arrows[1:3]:
-        expected = "injection" if arrow.target.rank >= arrow.source.rank else "surjection"
-        assert arrow.kind == expected
     return WitnessChain(
         theta, theta_prime, r, level, (src, o_lo, o_r, o_hi, dst), arrows
     )

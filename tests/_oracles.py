@@ -19,6 +19,7 @@ from fareyslopes.cfrac import (
     compare_irrationals,
     compare_theta_rational,
 )
+from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import ReducedFraction
 
 
@@ -354,6 +355,79 @@ def reference_diagram(theta: IrrationalNumber, far, depth: int) -> dict:
         "left_labels": [[i, str(v)] for i, v in numbered["l"]],
         "right_labels": [[i, str(v)] for i, v in numbered["r"]],
     }
+
+
+# -- division vertices and c(theta) by stepping -----------------------------
+
+
+def _convergent_past(theta: IrrationalNumber, q: int) -> tuple:
+    """(p_i, q_i) two convergents past the first with denominator above q,
+    or the deepest convergent of a FinitePrefix that runs out first."""
+    i = 0
+    try:
+        while theta.convergent_pair(i)[1] <= q:
+            i += 1
+        return theta.convergent_pair(i + 2)
+    except PrecisionExhausted:
+        return theta.convergent_pair(theta.available_depth())
+
+
+def left_right_vertices_by_correction(theta: IrrationalNumber, r: ReducedFraction):
+    """`left_right_vertices` by estimate and correction, for either kind of
+    theta: the translate x + k*|r| is estimated with theta replaced by a
+    convergent past r's denominator, then stepped by exact sign tests until
+    it lies in (0, |r|)."""
+    from fareyslopes.farey import _xgcd
+    from fareyslopes.lattice import ThetaLatticeElement, norm_to_fraction, theta_norm
+
+    w = theta_norm(r, theta)
+    g, s, t = _xgcd(w.m, w.n)
+    assert g == 1
+    x = ThetaLatticeElement(-t, s, theta)
+    p, q = _convergent_past(theta, r.q)
+    den = w.m * p + w.n * q
+    if den > 0:
+        x = x + w.scaled(-(x.m * p + x.n * q) // den + 1)
+    while x.sign() <= 0:
+        x = x + w
+    while (x - w).sign() >= 0:
+        x = x - w
+    return norm_to_fraction(x), norm_to_fraction(w - x)
+
+
+def _tail_gcd_by_scan(theta: EventuallyPeriodic, start: int) -> int:
+    """gcd of a_start, a_start+2, ...: the preperiod's terms, then l more,
+    which cover every period position the even steps reach."""
+    end = max(start, len(theta.preperiod)) + 2 * len(theta.period)
+    return math.gcd(*(theta.quotient(j) for j in range(start, end, 2)))
+
+
+def c_theta_by_state_cycle(theta: EventuallyPeriodic):
+    """(c_values, c) of `c_theta` on an eventually periodic theta: past the
+    preperiod, step the state (period phase, q_2i mod A, q_2i+1 mod A) and
+    stop at the first state seen before, listing c_i = gcd(q_2i, A) at every
+    step including that last one."""
+    n0, ell = len(theta.preperiod), len(theta.period)
+    c_values = []
+    i = 0
+    while 2 * i < n0:
+        _, q2i = theta.convergent_pair(2 * i)
+        c_values.append((i, math.gcd(q2i, _tail_gcd_by_scan(theta, 2 * i + 2))))
+        i += 1
+    big_a = _tail_gcd_by_scan(theta, 2 * i + 2)
+    q2i = theta.convergent_pair(2 * i)[1] % big_a
+    q2i1 = theta.convergent_pair(2 * i + 1)[1] % big_a
+    seen = set()
+    while True:
+        c_i = math.gcd(q2i, big_a)
+        c_values.append((i, c_i))
+        key = ((2 * i - n0) % (2 * ell), q2i, q2i1)
+        if key in seen:
+            return c_values, c_i
+        seen.add(key)
+        q2i = (theta.quotient(2 * i + 2) * q2i1 + q2i) % big_a
+        q2i1 = (theta.quotient(2 * i + 3) * q2i + q2i1) % big_a
+        i += 1
 
 
 # -- the division tree by exact comparisons --------------------------------

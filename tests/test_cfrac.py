@@ -13,8 +13,6 @@ from fareyslopes.cfrac import (
     convergents,
     semiconvergent,
     semiconvergents,
-    theta_gt,
-    theta_lt,
 )
 from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import INFINITY, ReducedFraction as F
@@ -128,8 +126,6 @@ def test_compare_against_float_oracle():
         if abs(theta.approx(30) - float(r)) > 1e-9:
             assert got == want
     assert compare_theta_rational(golden, INFINITY) == LESS
-    assert theta_lt(golden, F(2, 1))
-    assert theta_gt(golden, F(3, 2))
 
 
 def test_compare_near_convergents():
@@ -245,13 +241,23 @@ def test_closed_form_sign_matches_sandwich(data, theta):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data(), _surds())
-def test_floor_ratio_brackets_the_ratio(data, theta):
+@given(st.data(), _surds(), st.one_of(st.none(), st.integers(1, 60)))
+def test_floor_ratio_brackets_the_ratio(data, theta, known):
     a, b = data.draw(_lattice_pairs(theta))
     c, d = data.draw(_lattice_pairs(theta))
     if c == d == 0:
         c = 1
-    k = theta.floor_ratio(a, b, c, d)
+    if known is None:
+        k = theta.floor_ratio(a, b, c, d)
+    # a FinitePrefix of theta's first `known` quotients answers, or names a
+    # longer prefix, which then makes progress
+    while known is not None:
+        try:
+            k = FinitePrefix([theta.quotient(i) for i in range(known)]).floor_ratio(a, b, c, d)
+            known = None
+        except PrecisionExhausted as exc:
+            assert exc.needed_depth > known
+            known = exc.needed_depth
     s = _sandwich_sign(theta, c, d)
     # k <= (a*theta + b)/(c*theta + d) < k + 1
     assert s * _sandwich_sign(theta, a - k * c, b - k * d) >= 0
@@ -269,6 +275,16 @@ def test_closed_form_sign_spot_values():
     assert sqrt2.floor_ratio(1000, 0, 0, 1) == 1414
     assert sqrt2.floor_ratio(0, 1, 1, -1) == 2  # 1/(sqrt 2 - 1) = 2.414...
     assert golden.floor_ratio(-1, 0, 0, 1) == -2
+    # a0 is fed before the first test: theta = [-3; ...] lies below 1
+    assert EventuallyPeriodic((-3,), (7,)).floor_ratio(1, 0, 0, 1) == -3
+    # [1] leaves theta anywhere in (1, 2): 2*theta is open, theta is not
+    assert FinitePrefix((1,)).floor_ratio(1, 0, 0, 1) == 1
+    with pytest.raises(PrecisionExhausted) as e:
+        FinitePrefix((1,)).floor_ratio(2, 0, 0, 1)
+    assert e.value.needed_depth == 2
+    for theta in (golden, FinitePrefix((1, 2))):
+        with pytest.raises(ValueError):
+            theta.floor_ratio(1, 0, 0, 0)
     # q_i*theta - p_i sits just below 0 for odd i and just above it for even
     # i, so its floor is -1 or 0 however close it gets
     for theta in (golden, sqrt2, EventuallyPeriodic((-2, 7), (100000, 3))):

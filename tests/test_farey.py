@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import NoPath, PrecisionExhausted
@@ -29,6 +30,7 @@ from _oracles import (
     cutting_runs_expected,
     interior_lattice_points,
     boundary_lattice_points,
+    left_right_vertices_by_correction,
     random_theta,
     simplest_between,
 )
@@ -96,6 +98,49 @@ def test_left_right_vertices_past_float_range():
     assert wl + wr == w and wl.sign() > 0 and wr.sign() > 0
     assert l1.is_farey_neighbor(r) and r1.is_farey_neighbor(r)
     assert (l1, r1) == (F(1, 1), F(big, big - 1))
+
+
+_QUOTIENT = st.one_of(st.integers(1, 9), st.integers(1, 10**4))
+
+
+@st.composite
+def _theta_and_vertex(draw):
+    """A FinitePrefix of 1-14 quotients, or an eventually periodic theta,
+    with r a random fraction or a convergent or semiconvergent of theta
+    (of a periodic completion, for a prefix)."""
+    qs = [draw(st.integers(-6, 6))] + draw(st.lists(_QUOTIENT, max_size=13))
+    full = EventuallyPeriodic(qs, draw(st.lists(_QUOTIENT, min_size=1, max_size=4)))
+    theta = draw(st.sampled_from((FinitePrefix(qs), FinitePrefix(qs), full)))
+    kind = draw(st.sampled_from(("random", "convergent", "semiconvergent")))
+    if kind == "random":
+        r = draw(st.one_of(st.just(INFINITY), st.builds(F, st.integers(-200, 200), st.integers(1, 60))))
+    else:
+        i = draw(st.integers(-1, 16))
+        m = draw(st.integers(0, full.quotient(i + 2))) if kind == "semiconvergent" else 0
+        (p, q), (pn, qn) = full.convergent_pair(i), full.convergent_pair(i + 1)
+        r = F(p + m * pn, q + m * qn)
+    return theta, r
+
+
+def _outcome(fn, theta, r):
+    try:
+        return fn(theta, r)
+    except PrecisionExhausted as exc:
+        return "PrecisionExhausted", str(exc), exc.needed_depth
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_theta_and_vertex())
+def test_left_right_vertices_matches_correction_oracle(case):
+    theta, r = case
+    assert _outcome(left_right_vertices, theta, r) == _outcome(left_right_vertices_by_correction, theta, r)
+
+
+def test_left_right_vertices_with_integer_bracket_ends():
+    # five quotients in, the floor's bracket ends are exactly 2 and 3; no
+    # integer lies strictly between them, so the floor is 2
+    theta = FinitePrefix([3, 1, 4163, 1, 1, 1])
+    assert left_right_vertices(theta, F(16659, 4165)) == (F(49973, 12494), F(33314, 8329))
 
 
 def test_left_right_vertices_norm_identities():

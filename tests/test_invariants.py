@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -21,7 +22,7 @@ from fareyslopes.invariants import (
     special_conditions_hold,
 )
 
-from _oracles import random_theta, special_conditions_by_factoring
+from _oracles import c_theta_by_state_cycle, random_theta, special_conditions_by_factoring
 
 golden = EventuallyPeriodic((1,), (1,))
 sqrt2 = EventuallyPeriodic((1,), (2,))
@@ -83,6 +84,30 @@ def test_long_state_cycle_stabilizes(period):
     for i, c_i in rep.c_values[:60]:
         _, q2i = theta.convergent_pair(2 * i)
         assert c_i == math.gcd(q2i, *(theta.quotient(j) for j in range(2 * i + 2, 2 * i + 8, 2)))
+
+
+def test_c_theta_matches_state_cycle_oracle():
+    # A, the gcd of the even-index tail quotients, is forced above 1 by
+    # scaling the period quotients the even steps reach, so the cycle of
+    # (phase, q_2i mod A, q_2i+1 mod A) is long and c may exceed 1
+    rng = random.Random(14)
+    thetas = [golden, EventuallyPeriodic((0, 1, 2), (1, 3)), EventuallyPeriodic((0,), (1, 10007))]
+    for _ in range(400):
+        big_a = rng.choice((2, 3, 4, 6, 10, 12, 30, 97))
+        pre = [rng.randint(-5, 5)] + [rng.randint(1, 40) for _ in range(rng.randint(0, 5))]
+        ell = rng.randint(1, 4)
+        period = [
+            rng.randint(1, 20) * (big_a if ell % 2 or (len(pre) + j) % 2 == 0 else 1)
+            for j in range(ell)
+        ]
+        thetas.append(EventuallyPeriodic(pre, period))
+    limits = set()
+    for theta in thetas:
+        rep = c_theta(theta)
+        c_values, c = c_theta_by_state_cycle(theta)
+        assert (rep.c_values, rep.status) == (c_values, Stabilized(c)), theta
+        limits.add(c > 1)
+    assert limits == {True, False}
 
 
 def test_finite_prefix_lower_bounds():
@@ -151,6 +176,18 @@ def test_invariant_checks_run_under_python_O(message):
     )
     assert done.returncode == 1
     assert done.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
+
+
+def test_src_has_no_bare_asserts():
+    # python -O strips assert statements; every check in the library raises
+    src = os.path.dirname(fareyslopes.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # -- quotient bounds ----------------------------------------------------------
