@@ -16,6 +16,7 @@ the convenience ``approx`` used by rendering and test oracles.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -58,14 +59,8 @@ class IrrationalNumber:
         while len(self._memo) < i + 2:
             k = len(self._memo) - 1  # convergent index to compute
             a = self.quotient(k)
-            if k == 0:
-                p_prev, q_prev = self._memo[0]
-                p, q = a * p_prev + 0, a * q_prev + 1
-            else:
-                p_prev, q_prev = self._memo[k]
-                p_prev2, q_prev2 = self._memo[k - 1]
-                p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
-            self._memo.append((p, q))
+            (p1, q1), (p2, q2) = self._memo[k], self._memo[k - 1] if k else (0, 1)
+            self._memo.append((a * p1 + p2, a * q1 + q2))
 
     def convergent(self, i: int) -> ReducedFraction:
         """β_i = p_i/q_i for i ≥ −1 (β₋₁ = 1/0)."""
@@ -81,51 +76,65 @@ class IrrationalNumber:
         return self._memo[i + 1]
 
     def lattice_sign(self, m: int, n: int) -> int:
-        """Sign of mθ + n, from the convergent sandwich β₀ < β₂ < … < θ < … < β₃ < β₁.
+        """Sign of mθ + n, from Gosper's bracket on (m n; 0 1).
 
-        mθ + n lies strictly between m·β_{2i} + n and m·β_{2i+1} + n, whose
-        signs are those of m·p + n·q at the two convergents (denominators
-        are positive).  The first i where these do not have strictly
-        opposite signs decides; they are never both 0 unless m = n = 0.  A
-        FinitePrefix raises PrecisionExhausted when its quotients run out
-        first.
+        Fed θ's quotients as in ``ratio_quotients``, mθ + n lies strictly
+        between a/c and (a + b)/(c + d), one of which may be infinite, once
+        c and c + d share a sign (made nonnegative).  The sign is decided
+        when a·(a + b) ≥ 0: it is the sign of a + (a + b), 0 only for
+        m = n = 0.  A FinitePrefix raises PrecisionExhausted at the first
+        quotient that still leaves it open.
         """
-        if m == 0:
-            return (n > 0) - (n < 0)
-        i = 0
-        while True:
-            p_even, q_even = self.convergent_pair(2 * i)
-            p_odd, q_odd = self.convergent_pair(2 * i + 1)
-            even = m * p_even + n * q_even
-            odd = m * p_odd + n * q_odd
-            if even * odd >= 0:
-                return 1 if even + odd > 0 else -1
-            i += 1
+        a, b, c, d = m, n, 0, 1
+        for k in itertools.count():
+            t = self.quotient(k)
+            a, b, c, d = a * t + b, a, c * t + d, c
+            if c <= 0 and c + d <= 0:
+                a, b, c, d = -a, -b, -c, -d
+            if c >= 0 and c + d >= 0 and a * (a + b) >= 0:
+                return (2 * a + b > 0) - (2 * a + b < 0)
 
-    def floor_ratio(self, a: int, b: int, c: int, d: int) -> int:
-        """⌊(aθ + b)/(cθ + d)⌋ by Gosper's homographic algorithm (HAKMEM 101).
+    def ratio_quotients(self, a: int, b: int, c: int, d: int):
+        """The continued-fraction quotients of (aθ + b)/(cθ + d), as a stream.
 
-        Feeding θ's quotient t replaces (a b; c d) by (at + b  a; ct + d  c),
-        so after a₀ … a_{k−1} the ratio is (aθ_k + b)/(cθ_k + d) for the
-        complete quotient θ_k > 1.  When c and c + d share a sign it lies
-        strictly between a/c and (a + b)/(c + d), and the floor is decided
-        once no integer lies strictly between those two ends; either end
-        may itself be an integer.  A FinitePrefix raises PrecisionExhausted
-        at the first quotient that still leaves the floor open.
+        Gosper's homographic algorithm (HAKMEM 101): feeding θ's quotient t
+        replaces (a b; c d) by (at + b  a; ct + d  c), so after a₀ … a_{k−1}
+        the ratio is (aθ_k + b)/(cθ_k + d) for the complete quotient θ_k > 1.
+        Once c and c + d share a sign (made nonnegative) it lies strictly
+        between a/c and (a + b)/(c + d), and its floor n is decided when no
+        integer lies strictly between them.  Yielding n turns (a b; c d)
+        into (c d; a − nc b − nd), the matrix of 1/(ratio − n).  Prime the
+        generator with ``next``; ``send(cap)`` then yields cap, and ends, as
+        soon as the bracket's lower end reaches cap.  A FinitePrefix raises
+        PrecisionExhausted at the first quotient it lacks.
         """
         if c == 0 and d == 0:
             raise ValueError("c*theta + d must be nonzero")
-        k = 0
-        while True:
+        cap = yield
+        for k in itertools.count():
             t = self.quotient(k)
             a, b, c, d = a * t + b, a, c * t + d, c
-            k += 1
-            if c < 0 and c + d < 0:
+            if c <= 0 and c + d <= 0:
                 a, b, c, d = -a, -b, -c, -d
-            if c > 0 and c + d > 0:
-                n = min(a // c, (a + b) // (c + d))
-                if a <= (n + 1) * c and a + b <= (n + 1) * (c + d):
-                    return n
+            while c >= 0 and c + d >= 0:
+                if c > 0 and c + d > 0:
+                    n = min(a // c, (a + b) // (c + d))
+                    if a <= (n + 1) * c and a + b <= (n + 1) * (c + d):
+                        cap = yield n
+                        a, b, c, d = c, d, a - n * c, b - n * d
+                        if c == d == 0:
+                            return  # a rational ratio (ad = bc) has no more
+                        continue
+                if cap is not None and a >= cap * c and a + b >= cap * (c + d):
+                    yield cap
+                    return
+                break
+
+    def floor_ratio(self, a: int, b: int, c: int, d: int) -> int:
+        """⌊(aθ + b)/(cθ + d)⌋, the first of ``ratio_quotients``; c = d = 0 is a ValueError."""
+        stream = self.ratio_quotients(a, b, c, d)
+        next(stream)
+        return next(stream)
 
     def approx(self, depth: int = 30) -> float:
         """Float estimate from the depth-th convergent (oracle/render use only)."""
@@ -309,8 +318,8 @@ def compare_theta_rational(theta: IrrationalNumber, r: ReducedFraction) -> int:
     """Exact order of θ against r ∈ ℚ∞: +1 when θ > r, −1 when θ < r.
 
     For finite r = p/q (q > 0) this is the sign of qθ − p, read off
-    ``theta.lattice_sign``: closed form for EventuallyPeriodic θ, the
-    convergent sandwich otherwise.  Equality never occurs (θ is irrational).
+    ``theta.lattice_sign``: closed form for EventuallyPeriodic θ, Gosper's
+    bracket otherwise.  Equality never occurs (θ is irrational).
     For FinitePrefix sources a PrecisionExhausted escapes when the known
     quotients do not decide.
     """

@@ -2,26 +2,26 @@
 
 Everything here is exact.  Triangles of the Farey tessellation are triples
 of pairwise-adjacent reduced fractions (adjacent = determinant ±1), and all
-walks are driven by exact sign tests against the irrational slope, so a
-diagram computed at depth 40 is correct at depth 40 -- there is no float
-drift to accumulate.
+walks read their steps off partial quotients, so a diagram computed at
+depth 40 is correct at depth 40 -- there is no float drift to accumulate.
 
 The geometric picture (hyperbolic geodesics crossing ideal triangles) is
 only a picture: each step of a walk is the combinatorial move "cross one
-edge of the current triangle".  All diagrams and products share one walk
-(`_walk`): its state is the edge just crossed, the next triangle's apex is
-the mediant or the difference vertex of that edge, whichever lies toward
-the target, and one arc test -- is the old upper vertex on the target's
-side of (lower, apex)? -- picks which end the apex replaces.
+edge of the current triangle".  Beyond a crossed edge the triangles come in
+fans, one per partial quotient (C. Series, "The geometry of Markoff
+numbers", 1985): a unimodular M sending 0 and oo to the edge's ends turns
+the walk toward a slope into the Stern-Brocot descent toward y = M^-1(slope),
+whose quotients, from Gosper's algorithm, give whole runs of triangles with
+no sign test per triangle.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import deque
 from functools import lru_cache
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Union
+from typing import Literal, Optional, Union
 
 from .cfrac import (
     GREATER,
@@ -31,6 +31,7 @@ from .cfrac import (
     common_prefix,
     compare_irrationals,
     compare_theta_rational,
+    semiconvergent,
 )
 from .errors import NoPath
 from .exact import ReducedFraction
@@ -78,28 +79,6 @@ def slope_lt(a: Slope, b: Slope) -> bool:
     return compare_irrationals(a, b) == LESS
 
 
-def _strictly_between(x: ReducedFraction, lo: ReducedFraction, hi: ReducedFraction) -> bool:
-    """x in the open real interval (lo, hi); infinity never is."""
-    if x.is_infinite:
-        return False  # oo is an endpoint of the circle, inside no line interval
-    if not lo < x:
-        return False
-    return hi.is_infinite or x < hi
-
-
-def _inside(s: Slope, lo: ReducedFraction, hi: ReducedFraction) -> bool:
-    """Slope strictly inside the open interval (lo, hi), lo < hi on the line.
-
-    ``hi`` may be infinity, making the interval (lo, +oo).  Rational slopes
-    equal to an endpoint are outside (open interval).
-    """
-    if isinstance(s, ReducedFraction):
-        return _strictly_between(s, lo, hi)
-    if compare_theta_rational(s, lo) != GREATER:
-        return False
-    return hi.is_infinite or compare_theta_rational(s, hi) == LESS
-
-
 # --------------------------------------------------------------------------
 # primitive predicates
 
@@ -117,10 +96,7 @@ def _difference_vertex(u: ReducedFraction, v: ReducedFraction) -> ReducedFractio
     The two triangles over an edge have apexes mediant(u, v) (inside the
     interval) and the normalized vector difference (outside).
     """
-    p, q = u.p - v.p, u.q - v.q
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return ReducedFraction(p, q)
+    return ReducedFraction(u.p - v.p, u.q - v.q)  # the constructor normalizes the sign
 
 
 @dataclass(frozen=True)
@@ -157,19 +133,6 @@ class FareyTriangle:
 
 
 TriangleType = Literal["L", "R", "Start"]
-
-
-def _on_lower_arc(v: Slope, theta: Slope, far: Slope) -> bool:
-    """Is v on the arc of the (theta, far) chord that approaches theta from
-    below?
-
-    The chord cuts the circle Q u {oo} in two; the lower arc is the piece
-    containing theta - eps, which wraps through oo exactly when far > theta.
-    """
-    below_theta = slope_lt(v, theta)
-    if slope_lt(far, theta):
-        return below_theta and slope_lt(far, v)
-    return below_theta or slope_lt(far, v)
 
 
 # --------------------------------------------------------------------------
@@ -216,72 +179,109 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # --------------------------------------------------------------------------
-# the crossing walk
+# fans of quotient runs
 
 
-def _sorted_pair(a: ReducedFraction, b: ReducedFraction) -> tuple[ReducedFraction, ReducedFraction]:
-    return (a, b) if a < b else (b, a)
+_Vector = tuple[int, int]
 
 
-def _toward_apex(u: ReducedFraction, v: ReducedFraction, toward: Slope) -> ReducedFraction:
-    """Apex of the triangle over the edge (u, v) on the side containing `toward`."""
-    if _inside(toward, *_sorted_pair(u, v)):
-        return u.mediant(v)
-    return _difference_vertex(u, v)
+def _plus(a: _Vector, b: _Vector, k: int) -> _Vector:
+    return a[0] + k * b[0], a[1] + k * b[1]
 
 
-def _same_side(x: Slope, target: Slope, u: ReducedFraction, v: ReducedFraction) -> bool:
-    """Is x on the closed arc cut off by the edge (u, v) that holds target?
-
-    The endpoints split Q u {oo} into the open interval between them and its
-    complement through oo; they belong to both closed arcs.
-    """
-    if x in (u, v):
-        return True
-    lo, hi = _sorted_pair(u, v)
-    return _inside(x, lo, hi) == _inside(target, lo, hi)
+def _coords(lower: _Vector, upper: _Vector, v: ReducedFraction) -> tuple[int, int]:
+    """(num, den) with num/den = M^-1(v) for M = (upper lower) by columns."""
+    return lower[1] * v.p - lower[0] * v.q, upper[0] * v.q - upper[1] * v.p
 
 
-_Step = tuple[ReducedFraction, ReducedFraction, ReducedFraction, ReducedFraction]
+def _det(lower: _Vector, upper: _Vector) -> int:
+    """det M, +1 when the frame keeps the circle's orientation."""
+    return upper[0] * lower[1] - lower[0] * upper[1]
 
 
-def _walk(lower: ReducedFraction, upper: ReducedFraction, toward: IrrationalNumber) -> Iterator[_Step]:
-    """Cross Farey triangles toward an irrational slope, from the edge
-    (lower, upper) just crossed.
+def _frame(lower: ReducedFraction, upper: ReducedFraction, toward: IrrationalNumber) -> tuple[_Vector, _Vector]:
+    """The edge (lower, upper) as the frame M = (upper +-lower): M(0) = lower,
+    M(oo) = upper, and y = M^-1(toward) = (q*toward - p)/(p' - q'*toward)
+    > 0 for lower = p/q, upper = p'/q'; two signs, whatever the walk's length."""
+    lo, up = (lower.p, lower.q), (upper.p, upper.q)
+    if toward.lattice_sign(lo[1], -lo[0]) * toward.lattice_sign(-up[1], up[0]) < 0:
+        lo = (-lo[0], -lo[1])
+    return lo, up
 
-    Each triangle's third vertex, the apex, is the mediant or the difference
-    vertex of the edge, whichever lies on toward's side.  One arc test picks
-    the exit edge: (apex, upper) when upper lies on toward's side of
-    (lower, apex), else (lower, apex).  A crossed edge has one end on each
-    arc of the geodesic, so the apex takes the side of the vertex it
-    replaces.  Yields (lower, upper, apex, replaced) with (lower, upper) the
-    exit edge; the triangle is the exit edge plus the replaced vertex.  The
-    exit edge does not depend on which end is called lower; diagrams pass
-    the ends by arc to read each letter off the apex's side.
-    """
-    while True:
-        apex = _toward_apex(lower, upper, toward)
-        if _same_side(upper, toward, lower, apex):
-            lower, replaced = apex, lower
-        else:
-            upper, replaced = apex, upper
-        yield lower, upper, apex, replaced
+
+def _runs(lower: _Vector, upper: _Vector, toward: IrrationalNumber):
+    """The primed quotient stream of M^-1(toward)."""
+    stream = toward.ratio_quotients(lower[1], -lower[0], -upper[1], upper[0])
+    next(stream)
+    return stream
 
 
 def _fan(
-    lower: ReducedFraction, upper: ReducedFraction, toward: IrrationalNumber, depth: int
+    lower: _Vector, upper: _Vector, toward: IrrationalNumber, depth: int
 ) -> tuple[list[tuple[FareyTriangle, TriangleType]], list[ReducedFraction], list[ReducedFraction]]:
-    """The first `depth` triangles of the walk with their letters, and the
-    vertices they expose on the upper ("l") and lower ("r") arcs."""
-    triangles: list[tuple[FareyTriangle, TriangleType]] = []
-    left: list[ReducedFraction] = []
-    right: list[ReducedFraction] = []
-    for lower, upper, apex, replaced in itertools.islice(_walk(lower, upper, toward), depth):
-        # a lower apex puts two of the triangle's vertices on the lower arc
-        apex_is_lower = apex == lower
-        triangles.append((FareyTriangle((lower, upper, replaced)), "L" if apex_is_lower else "R"))
-        (right if apex_is_lower else left).append(apex)
+    """The first `depth` triangles beyond a frame's edge toward a slope, with
+    their letters, and the vertices they expose on the upper ("l") and lower
+    ("r") arcs.  Run k takes b_k steps for M^-1(toward) = [b0; b1, ...],
+    each apex the vector sum of the current ends; even runs replace lower
+    (letter L, apex on the lower arc), odd runs upper.  The last run need
+    only be known to cover the triangles still missing."""
+    triangles, left, right = [], [], []
+    stream = _runs(lower, upper, toward)
+    moving, fixed = lower, upper
+    moving_end, fixed_end = ReducedFraction(*lower), ReducedFraction(*upper)
+    letter, labels = "L", right
+    while len(triangles) < depth:
+        missing = depth - len(triangles)
+        for _ in range(min(stream.send(missing), missing)):
+            moving = _plus(moving, fixed, 1)
+            apex = ReducedFraction(*moving)
+            triangles.append((FareyTriangle((apex, fixed_end, moving_end)), letter))
+            labels.append(apex)
+            moving_end = apex
+        moving, fixed, moving_end, fixed_end = fixed, moving, fixed_end, moving_end
+        letter, labels = ("R", left) if letter == "L" else ("L", right)
     return triangles, left, right
+
+
+def _leave(
+    lower: _Vector, upper: _Vector, toward: IrrationalNumber, other: Slope
+) -> Optional[tuple[_Vector, _Vector]]:
+    """The triangle, as (replaced vertex, apex), where `other` leaves the
+    closed arcs beyond the edges crossed toward `toward`; None when it
+    starts outside.  An irrational `other` is never an end of an edge, so
+    for it the open arcs give the same triangle.
+
+    In the frame the arcs are the Stern-Brocot intervals of M^-1(toward).
+    Run k moves an end A toward the fixed end B; its step j crosses the
+    triangle (A + (j-1)B, A + jB, B) into [j, oo] in the coordinate
+    x -> A + xB.  z = M^-1(other), read there as z_k, leaves at the first
+    j <= b_k with z_k < j, else the next run reads 1/(z_k - b_k): one floor
+    per run for rational z.  Irrational z stays while its quotients c_k
+    equal b_k, then leaves at step c_k + 1, or at the next run's first step
+    when c_k > b_k.
+    """
+    ys = _runs(lower, upper, toward)
+    a, b = lower, upper
+    if isinstance(other, ReducedFraction):
+        num, den = _coords(lower, upper, other)
+        if num * den < 0:
+            return None
+        num, den = abs(num), abs(den)
+        while True:
+            step = num // den + 1 if den else None  # z_k = oo: every step keeps B
+            n = ys.send(step)
+            if step is not None and step <= n:
+                return _plus(a, b, step - 1), _plus(a, b, step)
+            num, den = den, num - n * den
+            a, b = b, _plus(a, b, n)
+    zs = _runs(lower, upper, other)
+    c = next(zs)
+    if c < 0:
+        return None
+    while (n := ys.send(c + 1)) == c:
+        a, b = b, _plus(a, b, n)
+        c = next(zs)
+    return (_plus(a, b, c), _plus(a, b, c + 1)) if c < n else (b, _plus(a, b, n + 1))
 
 
 # --------------------------------------------------------------------------
@@ -333,10 +333,11 @@ def farey_diagram(theta: IrrationalNumber, r: Slope, depth: int) -> FareyDiagram
     if not isinstance(r, ReducedFraction):
         return _two_ended_diagram(theta, r, depth)
     l1, r1 = left_right_vertices(theta, r)
-    # chi sign and arc side agree by the sign identity; keep both honest
-    if _on_lower_arc(l1, theta, r) or not _on_lower_arc(r1, theta, r):
+    lower, upper = _frame(r1, l1, theta)
+    # r1 is on the lower arc and l1 on the upper: the frame keeps orientation, r < 0
+    if _det(lower, upper) != 1 or math.prod(_coords(lower, upper, r)) >= 0:
         raise AssertionError("l1 must lie on the upper arc and r1 on the lower arc")
-    triangles, left, right = _fan(r1, l1, theta, depth - 1)
+    triangles, left, right = _fan(lower, upper, theta, depth - 1)
     return FareyDiagram(
         theta,
         r,
@@ -364,7 +365,7 @@ def _base_edge(theta: IrrationalNumber, r: IrrationalNumber) -> tuple[ReducedFra
         return ReducedFraction(b, 1), ReducedFraction(b + 1, 1)
     c = min(theta.quotient(k), b)
     other = _extend_prefix(prev, prev2, c) if b == c else ReducedFraction(*prev)
-    return _sorted_pair(_extend_prefix(prev, prev2, c + 1), other)
+    return tuple(sorted((_extend_prefix(prev, prev2, c + 1), other)))
 
 
 def _extend_prefix(prev: tuple[int, int], prev2: tuple[int, int], t: int) -> ReducedFraction:
@@ -375,12 +376,15 @@ def _extend_prefix(prev: tuple[int, int], prev2: tuple[int, int], t: int) -> Red
 def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int) -> FareyDiagram:
     if theta == r:
         raise ValueError("a diagram needs two distinct slopes")
-    lo, hi = _base_edge(theta, r)
-    l0, r0 = (hi, lo) if _on_lower_arc(lo, theta, r) else (lo, hi)
-    if _on_lower_arc(l0, theta, r) or not _on_lower_arc(r0, theta, r):
+    # the edge holds r, not theta: hi is on the lower arc, between r and
+    # theta or beyond r; then theta's frame keeps orientation, r's reverses it
+    l0, r0 = _base_edge(theta, r)
+    lower, upper = _frame(r0, l0, theta)
+    back_lower, back_upper = _frame(r0, l0, r)
+    if _det(lower, upper) != 1 or _det(back_lower, back_upper) != -1:
         raise AssertionError("the base edge must have one end on each arc")
-    ahead, ahead_l, ahead_r = _fan(r0, l0, theta, depth)
-    behind, behind_l, behind_r = _fan(r0, l0, r, depth)
+    ahead, ahead_l, ahead_r = _fan(lower, upper, theta, depth)
+    behind, behind_l, behind_r = _fan(back_lower, back_upper, r, depth)
     return FareyDiagram(
         theta,
         r,
@@ -505,9 +509,10 @@ def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
     the one holding theta, leaves s out.  These arcs shrink along the walk
     toward theta, so the intersection is the tail of r1's walk from the
     first edge whose arc excludes r2, and the product is the vertex
-    opposite that edge.  A rational r1 walks from its Start edge; an
-    irrational r1 starts from its base edge and walks toward theta, or
-    widens toward r1 while the arc still leaves r2 out.
+    opposite that edge: the median of r1, r2 and theta in the Farey tree.
+    A rational r1 walks from its Start edge.  When both are irrational, r1
+    starts from its base edge and walks toward theta, or widens toward r1
+    while the arc still leaves r2 out.  Both walks read quotient runs.
     """
     if _slopes_equal(r1, r2):
         return r1
@@ -519,17 +524,13 @@ def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
         r1, r2 = r2, r1  # the product is symmetric; walk from a rational
     if isinstance(r1, ReducedFraction):
         edge = left_right_vertices(theta, r1)
-        if not _same_side(r2, theta, *edge):
-            return r1
     else:
         edge = _base_edge(theta, r1)
-        if not _same_side(r2, theta, *edge):
-            for lower, upper, apex, _ in _walk(*edge, r1):
-                if _same_side(r2, theta, lower, upper):
-                    return apex
-    for lower, upper, _, replaced in _walk(*edge, theta):
-        if not _same_side(r2, theta, lower, upper):
-            return replaced
+        step = _leave(*_frame(*edge, r1), r1, r2)
+        if step is not None:
+            return ReducedFraction(*step[1])
+    step = _leave(*_frame(*edge, theta), theta, r2)
+    return r1 if step is None else ReducedFraction(*step[0])
 
 
 def _slopes_equal(a: Slope, b: Slope) -> bool:
@@ -596,9 +597,6 @@ class RollerCoaster:
     def edges(self) -> list[tuple[ReducedFraction, ReducedFraction]]:
         return list(self.labels)
 
-    def successors(self, v: ReducedFraction) -> list[ReducedFraction]:
-        return [b for (a, b) in self.labels if a == v]
-
     def to_dict(self) -> dict:
         return {
             "theta": str(self.theta),
@@ -627,11 +625,6 @@ def roller_coaster(theta: IrrationalNumber, depth: int) -> RollerCoaster:
         # every vertex by the same integer and changes no quotient past a0
         theta = theta.translated(1 - theta.quotient(0))
 
-    def semi(i: int, m: int) -> ReducedFraction:
-        pi, qi = theta.convergent_pair(i)
-        pn, qn = theta.convergent_pair(i + 1)
-        return ReducedFraction(pi + m * pn, qi + m * qn)
-
     vertices: list[ReducedFraction] = []
     family_index: dict = {}
     triangles: list[FareyTriangle] = []
@@ -658,9 +651,9 @@ def roller_coaster(theta: IrrationalNumber, depth: int) -> RollerCoaster:
         a_next = theta.quotient(i + 2)
         apex = theta.convergent(i + 1)
         for m in range(a_next + 1):
-            add_vertex(semi(i, m), i, m)
+            add_vertex(semiconvergent(theta, i, m), i, m)
         for m in range(a_next):
-            u, v = semi(i, m), semi(i, m + 1)
+            u, v = semiconvergent(theta, i, m), semiconvergent(theta, i, m + 1)
             triangles.append(FareyTriangle((u, v, apex)))
             add_edge(u, v, "exterior")
             add_edge(u, apex, "exterior" if (i == -1 and m == 0) else "interior")

@@ -3,7 +3,7 @@
 An element is a pair (m, n) standing for the real number mθ + n.  Because θ
 is irrational the sign of any nonzero element is decidable exactly:
 ``IrrationalNumber.lattice_sign`` reads it off θ's quadratic-surd form or,
-for a finite prefix, off its convergents.
+for a finite prefix, off Gosper's bracket on its quotients.
 
 The pairing is χ((m, n), (m', n')) = m'n − mn'; it is ℤ-bilinear and
 antisymmetric, and on the positive lifts of two fractions its absolute value
@@ -65,9 +65,6 @@ class ThetaLatticeElement:
     def sign(self) -> int:
         """Sign of the real value mθ + n, computed exactly."""
         return self.theta.lattice_sign(self.m, self.n)
-
-    def is_positive(self) -> bool:
-        return self.sign() > 0
 
     def __lt__(self, other: "ThetaLatticeElement") -> bool:
         self._check(other)

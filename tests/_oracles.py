@@ -357,6 +357,73 @@ def reference_diagram(theta: IrrationalNumber, far, depth: int) -> dict:
     }
 
 
+# -- the product by a one-triangle-at-a-time walk --------------------------
+
+
+def _toward_apex(u: ReducedFraction, v: ReducedFraction, toward):
+    """Apex of the triangle over the edge (u, v) on the side holding
+    `toward`: the mediant inside the interval, the difference outside."""
+    from fareyslopes.farey import _difference_vertex
+
+    if _inside(toward, *sorted((u, v))):
+        return u.mediant(v)
+    return _difference_vertex(u, v)
+
+
+def _same_side(x, target, u: ReducedFraction, v: ReducedFraction) -> bool:
+    """Is x on the closed arc cut off by the edge (u, v) that holds target?
+    The endpoints belong to both closed arcs."""
+    if x in (u, v):
+        return True
+    lo, hi = sorted((u, v))
+    return _inside(x, lo, hi) == _inside(target, lo, hi)
+
+
+def _walk(lower: ReducedFraction, upper: ReducedFraction, toward):
+    """Cross Farey triangles toward an irrational slope from the edge just
+    crossed, one exact comparison of toward per vertex: the apex lies on
+    toward's side, and one arc test picks the exit edge.  Yields
+    (lower, upper, apex, replaced) with (lower, upper) the exit edge."""
+    while True:
+        apex = _toward_apex(lower, upper, toward)
+        if _same_side(upper, toward, lower, apex):
+            lower, replaced = apex, lower
+        else:
+            upper, replaced = apex, upper
+        yield lower, upper, apex, replaced
+
+
+def theta_product_by_walk(r1, r2, theta):
+    """`theta_product` walked triangle by triangle: r1.r2 is read off r1's
+    walk toward theta at the first exit edge whose closed arc toward theta
+    leaves r2 out, as the vertex that step dropped.  An irrational r1 first
+    widens from its base edge toward r1 while r2 lies strictly on r1's
+    side, and answers with the apex where that stops."""
+    from fareyslopes.farey import _base_edge, _require_distinct, _slopes_equal, left_right_vertices
+
+    if _slopes_equal(r1, r2):
+        return r1
+    if _slopes_equal(r1, theta) or _slopes_equal(r2, theta):
+        return theta
+    for a, b in ((r1, r2), (r1, theta), (r2, theta)):
+        _require_distinct(a, b)
+    if isinstance(r2, ReducedFraction):
+        r1, r2 = r2, r1
+    if isinstance(r1, ReducedFraction):
+        edge = left_right_vertices(theta, r1)
+        if not _same_side(r2, theta, *edge):
+            return r1
+    else:
+        edge = _base_edge(theta, r1)
+        if not _same_side(r2, theta, *edge):
+            for lower, upper, apex, _ in _walk(*edge, r1):
+                if _same_side(r2, theta, lower, upper):
+                    return apex
+    for lower, upper, _, replaced in _walk(*edge, theta):
+        if not _same_side(r2, theta, lower, upper):
+            return replaced
+
+
 # -- division vertices and c(theta) by stepping -----------------------------
 
 

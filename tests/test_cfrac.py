@@ -193,7 +193,7 @@ def test_semiconvergents_are_farey_neighbors():
                 assert semiconvergent(theta, i, m) == beta
 
 
-# -- closed-form sign against the convergent sandwich -------------------------
+# -- closed-form sign against Gosper's bracket on a prefix --------------------
 
 # extremes: quotients >= 10^5, long preperiods and periods, negative a0
 _QUOTIENT = st.one_of(st.integers(1, 9), st.integers(10**5, 10**6))
@@ -217,8 +217,8 @@ def _lattice_pairs(draw, theta):
     return k * q, k * (-p + draw(st.integers(-1, 1)))
 
 
-def _sandwich_sign(theta, m, n):
-    """sign(m*theta + n) from the convergents of a FinitePrefix with
+def _prefix_sign(theta, m, n):
+    """sign(m*theta + n) from Gosper's bracket on a FinitePrefix with
     theta's quotients, lengthened until it decides."""
     depth = 4
     while True:
@@ -233,7 +233,7 @@ def _sandwich_sign(theta, m, n):
 @given(st.data(), _surds())
 def test_closed_form_sign_matches_sandwich(data, theta):
     m, n = data.draw(_lattice_pairs(theta))
-    want = _sandwich_sign(theta, m, n)
+    want = _prefix_sign(theta, m, n)
     assert theta.lattice_sign(m, n) == want
     assert theta.lattice_sign(-m, -n) == -want
     if m > 0:
@@ -258,10 +258,10 @@ def test_floor_ratio_brackets_the_ratio(data, theta, known):
         except PrecisionExhausted as exc:
             assert exc.needed_depth > known
             known = exc.needed_depth
-    s = _sandwich_sign(theta, c, d)
+    s = _prefix_sign(theta, c, d)
     # k <= (a*theta + b)/(c*theta + d) < k + 1
-    assert s * _sandwich_sign(theta, a - k * c, b - k * d) >= 0
-    assert s * _sandwich_sign(theta, a - (k + 1) * c, b - (k + 1) * d) < 0
+    assert s * _prefix_sign(theta, a - k * c, b - k * d) >= 0
+    assert s * _prefix_sign(theta, a - (k + 1) * c, b - (k + 1) * d) < 0
 
 
 def test_closed_form_sign_spot_values():
@@ -298,8 +298,8 @@ def test_closed_form_sign_spot_values():
 
 
 def test_sandwich_stops_at_the_first_deciding_convergent():
-    # 3/2 is golden's convergent 2: the pair (beta_2, beta_3) decides, so
-    # four known quotients suffice, and 144/89 needs a fifth
+    # [1;1,1,1] leaves theta in (8/5, 5/3): that decides 3/2, and 144/89
+    # inside it needs a fifth quotient
     theta = FinitePrefix((1, 1, 1, 1))
     assert theta.lattice_sign(2, -3) == 1
     assert compare_theta_rational(theta, F(3, 2)) == GREATER
@@ -307,3 +307,53 @@ def test_sandwich_stops_at_the_first_deciding_convergent():
     with pytest.raises(PrecisionExhausted) as e:
         theta.lattice_sign(89, -144)
     assert e.value.needed_depth == 5
+
+
+def test_prefix_sign_uses_every_known_quotient():
+    # every completion of [1] lies in (1, 2), and of [1;2,3] in (10/7, 13/9)
+    assert FinitePrefix((1,)).lattice_sign(1, -1) == 1
+    assert FinitePrefix((1, 2, 3)).lattice_sign(7, -10) == 1
+    assert FinitePrefix((1, 2, 3)).lattice_sign(-9, 13) == 1
+    with pytest.raises(PrecisionExhausted) as e:
+        FinitePrefix((1, 2, 3)).lattice_sign(16, -23)  # 23/16 = [1;2,3,2]
+    assert e.value.needed_depth == 4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data(), _surds())
+def test_ratio_quotients_are_the_continued_fraction(data, theta):
+    a, b = data.draw(_lattice_pairs(theta))
+    c, d = data.draw(_lattice_pairs(theta))
+    if a * d == b * c:
+        d += 1
+    stream = theta.ratio_quotients(a, b, c, d)
+    next(stream)
+    for k in range(12):
+        n = next(stream)
+        assert k == 0 or n >= 1
+        # n <= (a*theta + b)/(c*theta + d) < n + 1, by the closed-form sign
+        s = theta.lattice_sign(c, d)
+        assert s * theta.lattice_sign(a - n * c, b - n * d) > 0
+        assert s * theta.lattice_sign(a - (n + 1) * c, b - (n + 1) * d) < 0
+        a, b, c, d = c, d, a - n * c, b - n * d
+
+
+def test_ratio_quotients_cap():
+    # [1;1] leaves theta in (3/2, 2), so (theta - 1)/(2 - theta) is only
+    # known to exceed 1: a cap of 1 answers, and the stream ends there
+    half = FinitePrefix((1, 1))
+    stream = half.ratio_quotients(1, -1, -1, 2)
+    next(stream)
+    assert stream.send(1) == 1
+    with pytest.raises(StopIteration):
+        next(stream)
+    for cap in (None, 2):
+        stream = half.ratio_quotients(1, -1, -1, 2)
+        next(stream)
+        with pytest.raises(PrecisionExhausted) as e:
+            stream.send(cap)
+        assert e.value.needed_depth == 3
+    # a quotient decided below the cap comes out whole, and the stream goes on
+    stream = EventuallyPeriodic((1,), (2,)).ratio_quotients(0, 1, 1, -1)
+    next(stream)
+    assert [stream.send(5), stream.send(3), next(stream)] == [2, 2, 2]

@@ -240,6 +240,31 @@ def test_diagrams_match_edge_search_walk():
         done += 1
 
 
+def test_walks_make_no_sign_test_per_triangle(monkeypatch):
+    # a walk 4x as long makes as many lattice_sign calls: only its frames,
+    # never its triangles, ask for a sign
+    calls = []
+    for cls in (EventuallyPeriodic, FinitePrefix):
+        def counting(self, m, n, _sign=cls.lattice_sign):
+            calls.append((m, n))
+            return _sign(self, m, n)
+        monkeypatch.setattr(cls, "lattice_sign", counting)
+
+    def signs(walk, depth):
+        walk(depth)  # warm the module caches
+        calls.clear()
+        walk(depth)
+        return len(calls)
+
+    for walk in (
+        lambda d: farey_diagram(golden, INFINITY, d),
+        lambda d: farey_diagram(golden, sqrt2, d),
+        # with two rational operands the walk starts from the second: beta_3 out to beta_3+d
+        lambda d: theta_product(golden.convergent(3 + d), golden.convergent(3), golden),
+    ):
+        assert signs(walk, 160) == signs(walk, 40)
+
+
 def _strictly_inside(z, u, v):
     return slope_lt(u, z) and slope_lt(z, v)
 

@@ -1,7 +1,8 @@
 """FinitePrefix truncations of eventually periodic slopes: each answer of
 `slope_lt`, `bottom`, `cutting_sequence`, `farey_diagram` and
 `theta_product` matches the full slope's, or PrecisionExhausted names a
-depth that lets a longer prefix make progress."""
+depth that lets a longer prefix make progress.  Where the walking oracles
+answer on a truncation, the library answers too, with the same result."""
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -9,6 +10,8 @@ from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import ReducedFraction
 from fareyslopes.farey import bottom, cutting_sequence, farey_diagram, slope_lt, theta_product
+
+from _oracles import reference_diagram, theta_product_by_walk
 
 _QUOTIENT = st.integers(1, 9)
 _FRACTION = st.one_of(
@@ -76,3 +79,64 @@ def test_finite_prefix_diagrams_and_products(pair, n, r, r2, depth, irrational):
     want = theta_product(r, second, theta)
     assert _answer_from_prefixes(lambda t: theta_product(r, second, t), (theta,), (n,)) == want
     assert _answer_from_prefixes(lambda t: theta_product(second, r, t), (theta,), (n,)) == want
+
+
+def _or_none(fn, *args):
+    """fn(*args), or None when a prefix cannot decide it."""
+    try:
+        return fn(*args)
+    except PrecisionExhausted:
+        return None
+
+
+def _truncated(theta, n):
+    return FinitePrefix([theta.quotient(i) for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_slope_pairs(), st.integers(1, 30), _FRACTION, st.integers(1, 30), st.booleans())
+def test_finite_prefix_diagrams_answer_where_the_oracle_does(pair, n, r, depth, irrational):
+    theta, other = pair
+    far = other if irrational else r
+    prefix = _truncated(theta, n)
+    want = _or_none(reference_diagram, prefix, far, depth)
+    if want is not None:
+        assert farey_diagram(prefix, far, depth).to_dict() == want
+    shape = _answer_from_prefixes(lambda t: _shape(farey_diagram(t, far, depth)), (theta,), (n,))
+    assert shape == _shape(farey_diagram(theta, far, depth))
+
+
+_WIDE = st.one_of(st.integers(1, 4), st.integers(1, 10**4))
+
+
+@st.composite
+def _product_operands(draw):
+    """theta with quotients up to 10^4 and two operands, each a fraction or
+    an irrational sharing up to 5 quotients with theta."""
+    theta = EventuallyPeriodic(
+        [draw(st.integers(-5, 5))] + draw(st.lists(_WIDE, max_size=4)),
+        draw(st.lists(_WIDE, min_size=1, max_size=3)),
+    )
+
+    def operand():
+        if draw(st.booleans()):
+            return draw(_FRACTION)
+        shared = [theta.quotient(i) for i in range(draw(st.integers(0, 5)))]
+        pre = (shared or [draw(st.integers(-5, 5))]) + draw(st.lists(_WIDE, max_size=3))
+        return EventuallyPeriodic(pre, draw(st.lists(_WIDE, min_size=1, max_size=3)))
+
+    return theta, operand(), operand()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_product_operands(), st.integers(1, 30))
+def test_theta_product_matches_the_walk_oracle(operands, n):
+    theta, r1, r2 = operands
+    want = theta_product_by_walk(r1, r2, theta)
+    assert theta_product(r1, r2, theta) == want
+    assume(theta not in (r1, r2))  # a truncation of theta never equals theta
+    prefix = _truncated(theta, n)
+    oracle = _or_none(theta_product_by_walk, r1, r2, prefix)
+    if oracle is not None:
+        assert theta_product(r1, r2, prefix) == oracle
+    assert _answer_from_prefixes(lambda t: theta_product(r1, r2, t), (theta,), (n,)) == want
