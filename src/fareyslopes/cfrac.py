@@ -64,14 +64,12 @@ class IrrationalNumber:
 
     def convergent(self, i: int) -> ReducedFraction:
         """β_i = p_i/q_i for i ≥ −1 (β₋₁ = 1/0)."""
-        if i < -1:
-            raise ValueError("convergent index starts at -1")
-        self._ensure(i)
-        p, q = self._memo[i + 1]
-        return ReducedFraction(p, q)
+        return ReducedFraction(*self.convergent_pair(i))
 
     def convergent_pair(self, i: int) -> tuple:
         """Raw (p_i, q_i) without reduction (always already coprime)."""
+        if i < -1:
+            raise ValueError("convergent index starts at -1")
         self._ensure(i)
         return self._memo[i + 1]
 
@@ -402,6 +400,8 @@ def semiconvergents(theta: IrrationalNumber, i: int) -> list:
 
 def semiconvergent(theta: IrrationalNumber, i: int, m: int) -> ReducedFraction:
     """Single β_{i,m} without materialising the whole row."""
+    if i < -1:
+        raise ValueError("semiconvergent row starts at i = -1")
     p_i, q_i = theta.convergent_pair(i)
     p_n, q_n = theta.convergent_pair(i + 1)
     if m < 0:

@@ -54,57 +54,54 @@ _DEPTH_CAP = 64
 
 @dataclass(frozen=True)
 class DivisionInterval:
-    """An interval [a, b] in L_theta with b - a = |vertex|_theta.
+    """The interval [a, a + |vertex|_theta] in L_theta.
 
-    The endpoints are exact lattice elements; the vertex is the fraction
-    labelling this piece of the division tree.
+    A piece is its exact left end and the fraction labelling it in the
+    division tree; the right end b is derived, so b - a = |vertex|_theta
+    holds by construction.
     """
 
     a: ThetaLatticeElement
-    b: ThetaLatticeElement
     vertex: ReducedFraction
-
-    def __post_init__(self):
-        if self.b - self.a != theta_norm(self.vertex, self.a.theta):
-            raise ValueError("interval length must equal the vertex's norm")
 
     @property
     def theta(self) -> IrrationalNumber:
         return self.a.theta
 
+    @property
+    def b(self) -> ThetaLatticeElement:
+        return self.a + self.length()
+
     def length(self) -> ThetaLatticeElement:
-        return self.b - self.a
+        return theta_norm(self.vertex, self.a.theta)
 
     def real_length(self, depth: int = 30) -> float:
         return self.length().value(depth)
 
     def to_dict(self) -> dict:
+        b = self.b
         return {
             "a": {"m": self.a.m, "n": self.a.n},
-            "b": {"m": self.b.m, "n": self.b.n},
+            "b": {"m": b.m, "n": b.n},
             "vertex": str(self.vertex),
         }
 
 
 def root_interval(theta: IrrationalNumber, r: ReducedFraction) -> DivisionInterval:
     """The interval [0, |r|_theta] that the tree of r's diagram divides."""
-    origin = ThetaLatticeElement(0, 0, theta)
-    return DivisionInterval(origin, origin + theta_norm(r, theta), r)
+    return DivisionInterval(ThetaLatticeElement(0, 0, theta), r)
 
 
-@lru_cache(maxsize=1 << 16)
 def divide(iv: DivisionInterval) -> Tuple[DivisionInterval, DivisionInterval]:
     """Split an interval at c = a + |l1|_theta.
 
     The children carry the left and right child vertices of the parent
     label's diagram; their lengths sum to the parent length exactly (the
-    parent's norm lift is the signed difference of the children's).
-    Everything involved is immutable, so results are memoized: exhaustive
-    sweeps revisit the same tree nodes constantly.
+    parent's norm lift is the signed difference of the children's), so the
+    right child ends where the parent does.
     """
     l1, r1 = left_right_vertices(iv.theta, iv.vertex)
-    c = iv.a + theta_norm(l1, iv.theta)
-    return DivisionInterval(iv.a, c, l1), DivisionInterval(c, iv.b, r1)
+    return DivisionInterval(iv.a, l1), DivisionInterval(iv.a + theta_norm(l1, iv.theta), r1)
 
 
 def _before(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
@@ -127,8 +124,9 @@ class _DivisionTree:
 
     def root(self) -> DivisionInterval:
         if (0, 0) not in self.nodes:
-            root = self.nodes[0, 0] = root_interval(self.theta, self.r)
-            self.index[0, 0], self.index[root.b.m, root.b.n] = (0, 0), (0, 1)
+            root = root_interval(self.theta, self.r)
+            end = root.b  # a FinitePrefix that cannot decide |r|_theta raises here
+            self.nodes[0, 0], self.index[0, 0], self.index[end.m, end.n] = root, (0, 0), (0, 1)
         return self.nodes[0, 0]
 
     def children(self, level: int, k: int) -> Tuple[DivisionInterval, DivisionInterval]:
@@ -136,7 +134,7 @@ class _DivisionTree:
         nodes, left, right = self.nodes, (level + 1, 2 * k), (level + 1, 2 * k + 1)
         if left not in nodes:
             nodes[left], nodes[right] = divide(nodes[level, k])
-            mid = nodes[left].b
+            mid = nodes[right].a
             self.index[mid.m, mid.n] = right
         return nodes[left], nodes[right]
 
@@ -156,7 +154,7 @@ class _DivisionTree:
             raise NotDivisionPoint(f"{x!r} lies outside the root interval")
         level = k = 0
         for _ in range(cap):
-            mid = self.children(level, k)[0].b
+            mid = self.children(level, k)[1].a
             level, k = level + 1, 2 * k
             if x == mid:
                 return (level, k + 1)
@@ -427,7 +425,7 @@ def approximate_rank(
     chain: List[BeadObject] = []
     level = k = 0
     for _ in range(depth_cap):
-        mid = tree.children(level, k)[0].b
+        mid = tree.children(level, k)[1].a
         level, k = level + 1, 2 * k
         if not above(mid, target):
             chain.append(tree.bead(root.a, mid, depth_cap)[0])

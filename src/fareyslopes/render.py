@@ -10,6 +10,7 @@ machine interface elsewhere; floats live only here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -158,44 +159,36 @@ def _tessellation_edges(depth: int, lo: int = -2, hi: int = 3):
 def _render_tessellation(spec: RenderSpec) -> str:
     if spec.model == "upper_half":
         return _render_upper_half(spec)
-    style = spec.style
-    body = [
-        f'<rect x="-1.1" y="-1.1" width="2.2" height="2.2" '
-        f'fill="{style["background"]}"/>',
-    ]
-    if spec.highlight is not None:
-        for tri, _kind in spec.highlight.triangles:
-            body.append(_disc_triangle(tri, style))
-    for a, b in _tessellation_edges(spec.depth):
-        body.append(_disc_edge(a, b, style, "geodesic"))
-    body.append(
-        f'<circle cx="0" cy="0" r="1" fill="none" stroke="{style["boundary"]}" '
-        f'stroke-width="{_fmt(style["stroke_width"])}"/>'
+    highlight = spec.highlight.triangles if spec.highlight is not None else ()
+    return _render_disc(
+        spec, [tri for tri, _kind in highlight], _tessellation_edges(spec.depth)
     )
-    return _svg_document(body, spec.size_px, "-1.1 -1.1 2.2 2.2")
 
 
 def _render_diagram(spec: RenderSpec, diagram: FareyDiagram) -> str:
+    triangles = [tri for tri, _kind in diagram.triangles]
+    edges = {}  # first-seen order, each geodesic once whichever way it runs
+    for u, v, w in (tri.vertices for tri in triangles):
+        for a, b in ((u, v), (v, w), (w, u)):
+            edges.setdefault(frozenset(((a.p, a.q), (b.p, b.q))), (a, b))
+    return _render_disc(spec, triangles, list(edges.values()))
+
+
+def _render_disc(
+    spec: RenderSpec,
+    triangles: Sequence[FareyTriangle],
+    edges: Sequence[Tuple[ReducedFraction, ReducedFraction]],
+) -> str:
+    """Filled faces under geodesic edges in the disc, then its boundary."""
     style = spec.style
     body = [
         f'<rect x="-1.1" y="-1.1" width="2.2" height="2.2" '
         f'fill="{style["background"]}"/>',
-    ]
-    seen = set()
-    for tri, _kind in diagram.triangles:
-        body.append(_disc_triangle(tri, style))
-    for tri, _kind in diagram.triangles:
-        u, v, w = tri.vertices
-        for a, b in ((u, v), (v, w), (w, u)):
-            key = tuple(sorted(((a.p, a.q), (b.p, b.q))))
-            if key in seen:
-                continue
-            seen.add(key)
-            body.append(_disc_edge(a, b, style, "geodesic"))
-    body.append(
+        *(_disc_triangle(tri, style) for tri in triangles),
+        *(_disc_edge(a, b, style, "geodesic") for a, b in edges),
         f'<circle cx="0" cy="0" r="1" fill="none" stroke="{style["boundary"]}" '
-        f'stroke-width="{_fmt(style["stroke_width"])}"/>'
-    )
+        f'stroke-width="{_fmt(style["stroke_width"])}"/>',
+    ]
     return _svg_document(body, spec.size_px, "-1.1 -1.1 2.2 2.2")
 
 
@@ -356,9 +349,7 @@ def render_svg(
     if isinstance(obj, int):
         if obj < 1:
             raise ValueError("tessellation depth must be >= 1")
-        return _render_tessellation(
-            RenderSpec(spec.model, obj, spec.highlight, spec.size_px, dict(spec.style))
-        )
+        return _render_tessellation(dataclasses.replace(spec, depth=obj))
     if isinstance(obj, FareyDiagram):
         return _render_diagram(spec, obj)
     if isinstance(obj, FareyTree):

@@ -18,17 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cfrac import (
-    GREATER,
-    LESS,
-    EventuallyPeriodic,
-    IrrationalNumber,
-    compare_theta_rational,
-)
+from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import TolTooTight
 from .exact import ReducedFraction
 from .farey import _slopes_equal, bottom, farey_diagram, slope_lt
-from .invariants import Stabilized, c_theta
+from .invariants import Stabilized, bounded_quotients, c_theta
 
 __all__ = [
     "DimPair",
@@ -455,14 +449,14 @@ class EndoBoundReport:
 
 def _tail_bounded_by_two(theta: IrrationalNumber) -> Optional[bool]:
     """Are all partial quotients a_i (i >= 1) at most 2?  None = can't tell."""
-    if isinstance(theta, EventuallyPeriodic):
-        n = len(theta.preperiod) + len(theta.period)
-        return all(theta.quotient(i) <= 2 for i in range(1, n))
+    depth = theta.available_depth()
+    if depth == 0:
+        return None  # a bare a0 says nothing about the tail
+    top, verified = bounded_quotients(theta, depth)
+    if verified is None:
+        return top <= 2
     # A finite prefix can refute boundedness but never certify it.
-    for i in range(1, theta.available_depth() + 1):
-        if theta.quotient(i) > 2:
-            return False
-    return None
+    return False if top > 2 else None
 
 
 def endo_dim_bound(desc: LimitObjectDescriptor, budget: int = 64) -> EndoBoundReport:

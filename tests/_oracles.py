@@ -165,7 +165,7 @@ def game_rest_positions(theta, r, c, d, n):
             diff = hi.b - lo.a
             if not (diff.is_primitive() and diff.sign() > 0):
                 continue
-            parent = DivisionInterval(lo.a, hi.b, norm_to_fraction(diff))
+            parent = DivisionInterval(lo.a, norm_to_fraction(diff))
             if divide(parent) == (lo, hi):
                 occupied[i : i + 2] = [parent]
                 merged = True

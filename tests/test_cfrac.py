@@ -179,6 +179,18 @@ def test_semiconvergent_rows():
         semiconvergents(golden, -2)
 
 
+def test_negative_indices_below_minus_one_are_rejected():
+    # a warm memo must not answer index -2 with the entry at its end
+    theta = EventuallyPeriodic((1,), (1,))
+    assert theta.convergent(6) == F(21, 13)
+    with pytest.raises(ValueError, match="starts at -1"):
+        theta.convergent_pair(-2)
+    with pytest.raises(ValueError, match="starts at i = -1"):
+        semiconvergent(theta, -2, 1)
+    assert theta.convergent_pair(-1) == (1, 0)
+    assert semiconvergent(theta, -1, 1) == F(2, 1)
+
+
 def test_semiconvergents_are_farey_neighbors():
     rng = random.Random(6)
     for _ in range(25):

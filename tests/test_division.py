@@ -56,9 +56,16 @@ def test_root_and_divide_at_infinity():
     assert L.b == R.a
 
 
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        DivisionInterval(p0, p4, F(3, 2))  # wrong vertex for these endpoints
+def test_interval_is_its_left_end_and_label():
+    iv = DivisionInterval(p0, F(3, 2))
+    assert iv.b == p0 + theta_norm(F(3, 2), golden)
+    assert iv.length() == theta_norm(F(3, 2), golden)
+    twin = DivisionInterval(ThetaLatticeElement(0, 0, golden), F(3, 2))
+    assert twin == iv and hash(twin) == hash(iv)
+    assert DivisionInterval(p0, F(5, 3)) != iv
+    for parent in (root2, _A, _B, _AB):
+        L, R = divide(parent)
+        assert L.a == parent.a and L.b == R.a and R.b == parent.b
 
 
 def test_golden_two_tree():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fareyslopes.cfrac import EventuallyPeriodic
+from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import TolTooTight
 from fareyslopes.exact import INFINITY, ReducedFraction as F
 from fareyslopes.sheaves import (
@@ -27,6 +27,7 @@ from fareyslopes.sheaves import (
     kclass_colimit_check,
     quotient_multiplicity,
     witness_image_chain,
+    _tail_bounded_by_two,
 )
 
 from _oracles import mediant_generated_triangles, random_theta
@@ -215,6 +216,15 @@ def test_endo_bound_is_square_of_c():
         b = endo_dim_bound(LimitObjectDescriptor(theta, MINUS))
         assert b.stabilized
         assert b.bound == b.c * b.c
+
+
+def test_tail_bound_of_finite_prefixes():
+    # a prefix can refute a_i <= 2 for i >= 1 but never certify it
+    assert _tail_bounded_by_two(FinitePrefix((5,))) is None  # a bare a0
+    assert _tail_bounded_by_two(FinitePrefix((5, 1, 2, 1))) is None
+    assert _tail_bounded_by_two(FinitePrefix((1, 1, 3, 1))) is False
+    assert _tail_bounded_by_two(EventuallyPeriodic((5,), (1, 2))) is True
+    assert _tail_bounded_by_two(EventuallyPeriodic((1,), (2, 3))) is False
 
 
 def test_endo_bound_rejects_plus_side():
