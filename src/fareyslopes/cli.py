@@ -267,6 +267,8 @@ def _cmd_sheaf_multiplicity(args) -> dict:
 def _cmd_divide_tree(args) -> dict:
     theta = _parse_theta(args.theta)
     level = [root_interval(theta, _parse_fraction(args.far))]
+    if args.depth < 0:
+        raise ValueError("depth must be >= 0")
     levels = [[iv.to_dict() for iv in level]]
     for _ in range(args.depth):
         level = [child for iv in level for child in divide(iv)]

@@ -13,8 +13,9 @@ interval length.  Chains of bead objects then realise any target rank below
 Every split cuts strictly inside its parent, so the endpoints are ordered
 like the dyadic rationals: piece (level, k) is [k/2**level, (k+1)/2**level]
 of the root.  Each (theta, r) has one tree that keeps its pieces and
-endpoints by these addresses and summarises each bead once, so covers and
-SES checks are integer arithmetic on addresses.
+endpoints by these addresses and summarises each label and each bead once,
+so covers and SES checks are integer arithmetic on addresses, and a bead is
+built from its labels' stored summaries.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _DEPTH_CAP = 64
 # intervals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisionInterval:
     """The interval [a, a + |vertex|_theta] in L_theta.
 
@@ -114,13 +115,17 @@ class _DivisionTree:
 
     ``nodes``: (level, k) -> piece, stored with its sibling once their
     parent is split.  ``index``: endpoint (m, n) -> address in lowest terms;
-    the midpoint of piece (level, k) is (level + 1, 2k + 1).  ``beads``: a
-    pair of addresses -> (object, K-class, phase_sub_ok, phase_quot_ok).
+    the midpoint of piece (level, k) is (level + 1, 2k + 1).  ``labels``: a
+    label v -> (phase key, O(v), |v|_theta as (m, n)), one theta comparison
+    per label.  ``beads``: a pair of addresses -> (object, K-class,
+    phase_sub_ok, phase_quot_ok).  ``window_ok`` records that r passed the
+    slope-window check.
     """
 
     def __init__(self, theta: IrrationalNumber, r: ReducedFraction):
         self.theta, self.r = theta, r
-        self.nodes, self.index, self.beads = {}, {}, {}
+        self.nodes, self.index, self.labels, self.beads = {}, {}, {}, {}
+        self.window_ok = False
 
     def root(self) -> DivisionInterval:
         if (0, 0) not in self.nodes:
@@ -128,6 +133,12 @@ class _DivisionTree:
             end = root.b  # a FinitePrefix that cannot decide |r|_theta raises here
             self.nodes[0, 0], self.index[0, 0], self.index[end.m, end.n] = root, (0, 0), (0, 1)
         return self.nodes[0, 0]
+
+    def require_window(self) -> None:
+        """The slope-window check, run until it passes once."""
+        if not self.window_ok:
+            _require_window(self.theta, self.r)
+            self.window_ok = True
 
     def children(self, level: int, k: int) -> Tuple[DivisionInterval, DivisionInterval]:
         """The two halves of piece (level, k), split on first use."""
@@ -140,7 +151,8 @@ class _DivisionTree:
 
     def address(self, x: ThetaLatticeElement, cap: int) -> Optional[Tuple[int, int]]:
         """x's address if the tree has reached x, over theta, within depth cap."""
-        addr = self.index.get((x.m, x.n)) if x.theta == self.theta else None
+        theta = x.theta
+        addr = self.index.get((x.m, x.n)) if theta is self.theta or theta == self.theta else None
         return addr if addr and addr[0] <= cap else None
 
     def locate(self, x: ThetaLatticeElement, cap: int) -> Tuple[int, int]:
@@ -175,24 +187,43 @@ class _DivisionTree:
             lo, hi, n = (lo + 1) >> 1, hi >> 1, n - 1
         return left + right[::-1]
 
+    def label(self, v: ReducedFraction) -> tuple:
+        """v's summary, computed on first use.
+
+        The phase key orders summands: shift first (1 for slopes below
+        theta, which sit above every unshifted summand), slope second.  The
+        norm |v|_theta is (q, -p) exactly when theta > v, so one comparison
+        gives both.
+        """
+        summary = self.labels.get(v)
+        if summary is None:
+            norm = theta_norm(v, self.theta)
+            summary = self.labels[v] = ((int(norm.m > 0), v), StableClass.from_fraction(v), (norm.m, norm.n))
+        return summary
+
     def bead(self, c: ThetaLatticeElement, d: ThetaLatticeElement, cap: int) -> tuple:
         """The summary of the bead on [c, d], built on first use."""
-        summary = self.beads.get((self.address(c, cap), self.address(d, cap)))
+        ac, ad = self.address(c, cap), self.address(d, cap)
+        summary = self.beads.get((ac, ad))
         if summary:
             return summary
-        theta = self.theta
-        _require_window(theta, self.r)
-        if not c < d:
+        self.require_window()
+        if not (_before(ac, ad) if ac and ad else c < d):
             raise ValueError("need c < d")
-        key = (self.locate(c, cap), self.locate(d, cap))
+        key = (ac or self.locate(c, cap), ad or self.locate(d, cap))
         labels = tuple(self.cover(*key))
-        phases = [_phase_key(theta, label) for label in labels]
-        runs = groupby((StableClass.from_fraction(v), shift) for shift, v in phases)
-        sheaf = SheafClass(tuple((cls, shift, len(list(g))) for (cls, shift), g in runs))
+        runs, phases, m, n = [], [], 0, 0
+        for v, group in groupby(labels):
+            phase, cls, (vm, vn) = self.label(v)
+            mult = len(list(group))
+            runs.append((cls, phase[0], mult))
+            phases.append(phase)
+            m, n = m + mult * vm, n + mult * vn
         length = d - c
-        if sum((theta_norm(v, theta) for v in labels), ThetaLatticeElement(0, 0, theta)) != length:
+        if (m, n) != (length.m, length.n):
             raise AssertionError("piece norms must tile the interval exactly")
-        if rotated_rank(sheaf, theta) != length:
+        sheaf = SheafClass(tuple(runs))
+        if rotated_rank(sheaf, self.theta) != length:
             raise AssertionError("rotated rank must match")
         summary = self.beads[key] = (
             BeadObject((c, d), labels, sheaf, length),
@@ -231,7 +262,7 @@ def division_points(
 # bead objects
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeadObject:
     """The direct sum of shifted stable classes covering [c, d].
 
@@ -269,18 +300,6 @@ def _require_window(theta: IrrationalNumber, r: ReducedFraction) -> None:
         raise ValueError("need slope(r) - theta < 1")
 
 
-def _phase_key(
-    theta: IrrationalNumber, label: ReducedFraction
-) -> Tuple[int, ReducedFraction]:
-    """Lexicographic phase surrogate: shift first, slope second.
-
-    Shifted summands (slope < theta) sit strictly above every unshifted one,
-    and within a shift the phase grows with the slope; no trigonometry is
-    needed to compare.
-    """
-    return (1 if compare_theta_rational(theta, label) == GREATER else 0, label)
-
-
 def beads(
     theta: IrrationalNumber,
     r: ReducedFraction,
@@ -304,7 +323,7 @@ def beads(
 # short exact sequences of bead objects
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SESReport:
     """Outcome of checking 0 -> E[c,e] -> E[c,d] -> E[e,d] -> 0.
 
@@ -409,11 +428,11 @@ def approximate_rank(
     0 < target < |r|_theta and the slope window 0 < slope(r) - theta < 1;
     raises TolTooTight when ``depth_cap`` levels do not reach the tolerance.
     """
-    _require_window(theta, r)
+    tree = _tree(theta, r)
+    tree.require_window()
     target, tol = Fraction(target), Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    tree = _tree(theta, r)
     root = tree.root()
 
     def above(x: ThetaLatticeElement, v: Fraction) -> bool:

@@ -19,7 +19,7 @@ _FRACTION_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedFraction:
     """A reduced fraction p/q with q ≥ 0; q = 0 encodes ∞ = 1/0."""
 

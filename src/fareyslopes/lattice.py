@@ -21,7 +21,7 @@ from .errors import MismatchedTheta
 from .exact import ReducedFraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaLatticeElement:
     """The element m·θ + n of L_θ.  (0, 0) is allowed and has sign 0."""
 

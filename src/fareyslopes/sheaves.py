@@ -31,7 +31,6 @@ __all__ = [
     "LimitObjectDescriptor",
     "PLUS",
     "MINUS",
-    "ZERO",
     "FINITE_DIVISION_ALGEBRA_BOUND",
     "SES_WITH_C_QUOTIENT",
     "UNKNOWN",
@@ -56,7 +55,7 @@ __all__ = [
 PLUS = "plus"
 MINUS = "minus"
 
-ZERO = "Zero"
+_ZERO = "Zero"
 FINITE_DIVISION_ALGEBRA_BOUND = "FiniteDivisionAlgebraBound"
 SES_WITH_C_QUOTIENT = "SESWithCQuotient"
 UNKNOWN = "Unknown"
@@ -98,7 +97,7 @@ class DimPair:
         return {"dim": self.dim, "ht": self.ht}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StableClass:
     """The character (degree, rank) of a stable object.
 
@@ -151,7 +150,7 @@ def _det(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     return u[0] * v[1] - v[0] * u[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SheafClass:
     """Formal direct sum of shifted stable classes.
 
@@ -567,7 +566,7 @@ def _classify_stable_pair(x: StableClass, y: StableClass) -> HomReport:
         return HomReport(
             x,
             y,
-            ZERO,
+            _ZERO,
             clause="no maps from strictly larger slope to smaller",
             hom=hom,
             ext1=ext1,
@@ -592,7 +591,7 @@ def _classify_from_stable(x: StableClass, y: LimitObjectDescriptor) -> HomReport
         return HomReport(
             x,
             y,
-            ZERO,
+            _ZERO,
             clause="rational slope above theta: maps into either limit "
             "object vanish",
         )
@@ -611,7 +610,7 @@ def _classify_minus_to_stable(x: LimitObjectDescriptor, y: StableClass) -> HomRe
         return HomReport(
             x,
             y,
-            ZERO,
+            _ZERO,
             clause="maps from the minus-side colimit into smaller slope vanish",
         )
     return HomReport(
@@ -662,7 +661,7 @@ def _classify_minus_limit(
         return HomReport(
             x,
             y,
-            ZERO,
+            _ZERO,
             clause="target slope strictly below source: maps vanish",
         )
     return HomReport(

@@ -159,6 +159,11 @@ def test_divide_tree_and_points(capsys):
     assert [p["value"] for p in pts] == sorted(p["value"] for p in pts)
 
 
+def test_divide_tree_rejects_negative_depth(capsys):
+    code, out, err = run(capsys, "divide", "tree", "[1;(1)]", "2/1", "--depth", "-1")
+    assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
+
+
 def test_ctheta_and_construct(capsys):
     code, out, _ = run(capsys, "cf", "ctheta", "[0;1,2,(1,3)]")
     assert code == 0

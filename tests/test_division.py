@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareyslopes import division
-from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
+from fareyslopes.cfrac import GREATER, EventuallyPeriodic, FinitePrefix, compare_theta_rational
 from fareyslopes.division import (
     DivisionInterval,
-    _phase_key,
     _require_window,
     approximate_rank,
     beads,
@@ -159,8 +161,29 @@ def test_beads_windows_depth4():
         b = beads(golden, F(2, 1), c, d)
         assert b.rank_theta == d - c
         assert b.summands.in_heart(golden)
-        phases = [_phase_key(golden, v) for v in b.labels]
+        # the phase order: shifted summands (slope below theta) first, then by slope
+        phases = [(compare_theta_rational(golden, v) == GREATER, v) for v in b.labels]
         assert all(x >= y for x, y in zip(phases, phases[1:]))
+
+
+def test_bead_builds_compare_each_label_once(monkeypatch):
+    # a label's phase, class and norm are stored once per tree: building all
+    # C(65, 2) windows asks one sign per distinct label, plus two for the window
+    division._tree.cache_clear()
+    theta_norm.cache_clear()
+    pts = division_points(golden, F(2, 1), 6)
+    calls = []
+
+    def counting(self, m, n, _sign=EventuallyPeriodic.lattice_sign):
+        calls.append((m, n))
+        return _sign(self, m, n)
+
+    monkeypatch.setattr(EventuallyPeriodic, "lattice_sign", counting)
+    for c, d in itertools.combinations(pts, 2):
+        beads(golden, F(2, 1), c, d)
+    labels = {iv.vertex for iv in division._tree(golden, F(2, 1)).nodes.values()}
+    assert len(labels) == 13
+    assert len(calls) <= len(labels) + 2
 
 
 def test_beads_match_game_oracle():
@@ -364,6 +387,34 @@ def test_tree_matches_comparison_oracles(slope, depth, warm, data):
         got = _outcome(lambda: beads(theta, r, c, d, cap).labels)
         assert got == _outcome(lambda: _beads_by_comparison(theta, r, c, d, cap))
     assert _outcome(lambda: division_points(theta, r, depth)) == want
+
+
+_SLOTTED = {
+    "ThetaLatticeElement": lambda: p1,
+    "ReducedFraction": lambda: F(8, 5),
+    "DivisionInterval": lambda: _AB,
+    "StableClass": lambda: StableClass(5, 3),
+    "SheafClass": lambda: beads(golden, F(2, 1), p1, p3).summands,
+    "BeadObject": lambda: beads(golden, F(2, 1), p1, p3),
+    "SESReport": lambda: ses_check(golden, F(2, 1), p0, p1, p3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOTTED))
+def test_value_types_are_slotted(name):
+    value = _SLOTTED[name]()
+    assert type(value).__name__ == name and not hasattr(value, "__dict__")
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_replace_on_division_interval():
+    iv = dataclasses.replace(_AB, vertex=F(5, 3))
+    assert iv == DivisionInterval(_AB.a, F(5, 3)) and iv.b == _AB.a + theta_norm(F(5, 3), golden)
+    assert dataclasses.replace(_AB) == _AB
 
 
 def test_to_dict_shapes():

@@ -167,15 +167,29 @@ _BROKEN = {
 }
 
 
-@pytest.mark.parametrize("message", sorted(_BROKEN))
-def test_invariant_checks_run_under_python_O(message):
+def _last_error_under_python_O(script):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _PREAMBLE + _BROKEN[message]],
+        [sys.executable, "-O", "-c", _PREAMBLE + script],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 1
-    assert done.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
+    return done.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("message", sorted(_BROKEN))
+def test_invariant_checks_run_under_python_O(message):
+    assert _last_error_under_python_O(_BROKEN[message]) == f"AssertionError: {message}"
+
+
+def test_stored_label_norms_are_checked_under_python_O():
+    # the stored norm of the label 3/2, which the bead's cover holds, is off by one
+    corrupt = (
+        "tree = div._tree(golden, F(2, 1)); phase, cls, (m, n) = tree.label(F(3, 2)); "
+        "tree.labels[F(3, 2)] = (phase, cls, (m, n + 1)); "
+    )
+    want = "AssertionError: piece norms must tile the interval exactly"
+    assert _last_error_under_python_O(corrupt + _BEADS) == want
 
 
 def test_src_has_no_bare_asserts():

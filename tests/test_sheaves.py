@@ -12,7 +12,6 @@ from fareyslopes.sheaves import (
     PLUS,
     SES_WITH_C_QUOTIENT,
     UNKNOWN,
-    ZERO,
     DimPair,
     LimitObjectDescriptor,
     SheafClass,
@@ -239,7 +238,7 @@ def test_hom_classify_stable_pairs():
     r = hom_classify(O(0, 1), O(1, 1))
     assert r.verdict == UNKNOWN and r.hom == DimPair(1, 1) and r.ext1_zero
     r = hom_classify(O(1, 1), O(0, 1))
-    assert r.verdict == ZERO and r.ext1 == DimPair(1, -1) and r.ext1_zero is False
+    assert r.verdict == "Zero" and r.ext1 == DimPair(1, -1) and r.ext1_zero is False
     r = hom_classify(O(1, 2), O(1, 2))
     assert r.verdict == FINITE_DIVISION_ALGEBRA_BOUND and r.bound == 4
 
@@ -254,17 +253,17 @@ def test_hom_classify_limit_objects():
     assert r.verdict == SES_WITH_C_QUOTIENT
     assert r.kernel_factors == ((1, 1), (1, 1), (4, 1), (9, 1))
     assert r.quotient == DimPair(1, 0)
-    assert hom_classify(mg, p2).verdict == ZERO
+    assert hom_classify(mg, p2).verdict == "Zero"
     r = hom_classify(m2, pg)
     assert r.verdict == UNKNOWN and r.ext1_zero
     # stable against the limit slope: the side of theta decides
-    assert hom_classify(O(2, 1), m2).verdict == ZERO
+    assert hom_classify(O(2, 1), m2).verdict == "Zero"
     r = hom_classify(O(1, 1), m2)
     assert r.verdict == UNKNOWN and r.ext1_zero
-    assert hom_classify(m2, O(1, 1)).verdict == ZERO
+    assert hom_classify(m2, O(1, 1)).verdict == "Zero"
     r = hom_classify(m2, O(2, 1))
     assert r.verdict == UNKNOWN and r.ext1_zero
-    assert hom_classify(O(1, 0), m2).verdict == ZERO
+    assert hom_classify(O(1, 0), m2).verdict == "Zero"
     assert hom_classify(p2, O(1, 1)).verdict == UNKNOWN
     r = hom_classify(O(1, 0), O(2, 0))
     assert r.verdict == UNKNOWN and r.hom is None
@@ -372,3 +371,10 @@ def test_sheaf_class():
         SheafClass(((O(1, 1), 2, 1),))
     with pytest.raises(ValueError):
         SheafClass(((O(1, 1), 0, 0),))
+
+
+def test_star_import_keeps_the_fraction_zero():
+    # the "Zero" verdict is a private constant, so it cannot shadow exact.ZERO = 0/1
+    scope = {}
+    exec("from fareyslopes.exact import *\nfrom fareyslopes.sheaves import *", scope)
+    assert scope["ZERO"] == F(0, 1)
