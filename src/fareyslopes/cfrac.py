@@ -46,7 +46,8 @@ def _minimal_period(period):
 
 
 class IrrationalNumber:
-    """Base class; use EventuallyPeriodic or FinitePrefix."""
+    """Base class; use EventuallyPeriodic or FinitePrefix.  Each instance keeps
+    its own memo of convergents, splits and division trees, freed with it."""
 
     def quotient(self, i: int) -> int:
         raise NotImplementedError
@@ -195,8 +196,7 @@ class EventuallyPeriodic(IrrationalNumber):
             period = [period[-1]] + period[:-1]
         self.preperiod = tuple(preperiod)
         self.period = tuple(period)
-        self._hash = hash((self.preperiod, self.period))
-        self._memo = [(1, 0)]
+        self._memo, self._splits, self._trees = [(1, 0)], {}, {}
         # θ as a quadratic surd.  The purely periodic tail φ = [b₁; b₂, …]
         # solves φ = (pφ + p′)/(qφ + q′), so qφ² − (p − q′)φ − p′ = 0.  φ is
         # reduced (φ > 1, conjugate in (−1, 0)), hence
@@ -243,7 +243,10 @@ class EventuallyPeriodic(IrrationalNumber):
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.preperiod, self.period))
+
+    def __reduce__(self):
+        return EventuallyPeriodic, (self.preperiod, self.period)
 
     def __str__(self):
         a0, rest = self.preperiod[0], self.preperiod[1:]
@@ -271,8 +274,7 @@ class FinitePrefix(IrrationalNumber):
         if any(a < 1 for a in quotients[1:]):
             raise ValueError("partial quotients a_i must be >= 1 for i >= 1")
         self.quotients = tuple(quotients)
-        self._hash = hash(self.quotients)
-        self._memo = [(1, 0)]
+        self._memo, self._splits, self._trees = [(1, 0)], {}, {}
 
     def quotient(self, i: int) -> int:
         if i < 0:
@@ -291,7 +293,10 @@ class FinitePrefix(IrrationalNumber):
         return isinstance(other, FinitePrefix) and self.quotients == other.quotients
 
     def __hash__(self):
-        return self._hash
+        return hash(self.quotients)
+
+    def __reduce__(self):
+        return FinitePrefix, (self.quotients,)
 
     def __str__(self):
         a0, rest = self.quotients[0], self.quotients[1:]

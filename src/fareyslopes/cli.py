@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 bad input (argparse uses the same code), 3 when a
 finite quotient prefix runs out of depth — the needed depth is printed to
-stderr so the caller knows how much more to supply.
+stderr so the caller knows how much more to supply.  Outputs that double per
+level (divide tree and points, farey tree, render svg tree and tessellation)
+take a --depth of at most 16; `divide points` then prints 65 537 points (5 MB).
 """
 
 from __future__ import annotations
@@ -63,8 +65,16 @@ from .sheaves import (
     quotient_multiplicity,
 )
 
+_DOUBLING_DEPTH_CAP = 16
+
 # --------------------------------------------------------------------------
 # argument parsing helpers
+
+
+def _capped(depth: int) -> int:
+    if depth > _DOUBLING_DEPTH_CAP:
+        raise ValueError(f"depth must be <= {_DOUBLING_DEPTH_CAP}: the output doubles with each level")
+    return depth
 
 
 def _parse_theta(text: str) -> IrrationalNumber:
@@ -180,7 +190,7 @@ def _cmd_farey_diagram(args) -> dict:
 
 def _cmd_farey_tree(args) -> dict:
     return farey_tree(
-        _parse_theta(args.theta), _parse_fraction(args.far), args.depth
+        _parse_theta(args.theta), _parse_fraction(args.far), _capped(args.depth)
     ).to_dict()
 
 
@@ -267,7 +277,7 @@ def _cmd_sheaf_multiplicity(args) -> dict:
 def _cmd_divide_tree(args) -> dict:
     theta = _parse_theta(args.theta)
     level = [root_interval(theta, _parse_fraction(args.far))]
-    if args.depth < 0:
+    if _capped(args.depth) < 0:
         raise ValueError("depth must be >= 0")
     levels = [[iv.to_dict() for iv in level]]
     for _ in range(args.depth):
@@ -278,7 +288,7 @@ def _cmd_divide_tree(args) -> dict:
 
 def _cmd_divide_points(args) -> list:
     theta = _parse_theta(args.theta)
-    pts = division_points(theta, _parse_fraction(args.far), args.depth)
+    pts = division_points(theta, _parse_fraction(args.far), _capped(args.depth))
     return [{"m": x.m, "n": x.n, "value": x.value()} for x in pts]
 
 
@@ -354,7 +364,7 @@ def _render_object(args, spec: RenderSpec):
 def _cmd_render_svg(args):
     spec = RenderSpec(
         model=args.model,
-        depth=args.depth,
+        depth=_capped(args.depth) if args.kind in ("tessellation", "tree") else args.depth,
         size_px=args.size,
         style=_load_style(args.config),
     )

@@ -12,17 +12,16 @@ interval length.  Chains of bead objects then realise any target rank below
 
 Every split cuts strictly inside its parent, so the endpoints are ordered
 like the dyadic rationals: piece (level, k) is [k/2**level, (k+1)/2**level]
-of the root.  Each (theta, r) has one tree that keeps its pieces and
-endpoints by these addresses and summarises each label and each bead once,
-so covers and SES checks are integer arithmetic on addresses, and a bead is
-built from its labels' stored summaries.
+of the root.  For as long as it lives, theta keeps one tree per r, which
+keeps its pieces and endpoints by these addresses and summarises each label
+and each bead once, so covers and SES checks are integer arithmetic on
+addresses, and a bead is built from its labels' stored summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from typing import List, Optional, Tuple, Union
 
@@ -99,10 +98,10 @@ def divide(iv: DivisionInterval) -> Tuple[DivisionInterval, DivisionInterval]:
     The children carry the left and right child vertices of the parent
     label's diagram; their lengths sum to the parent length exactly (the
     parent's norm lift is the signed difference of the children's), so the
-    right child ends where the parent does.
+    right child ends where the parent does.  |l1|_theta comes with the split.
     """
     l1, r1 = left_right_vertices(iv.theta, iv.vertex)
-    return DivisionInterval(iv.a, l1), DivisionInterval(iv.a + theta_norm(l1, iv.theta), r1)
+    return DivisionInterval(iv.a, l1), DivisionInterval(iv.a + iv.theta._splits[iv.vertex][1], r1)
 
 
 def _before(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
@@ -234,10 +233,12 @@ class _DivisionTree:
         return summary
 
 
-@lru_cache(maxsize=32)
 def _tree(theta: IrrationalNumber, r: ReducedFraction) -> _DivisionTree:
-    """The one tree of (theta, r); the registry keeps the 32 last used."""
-    return _DivisionTree(theta, r)
+    """The one tree of (theta, r), kept on theta and freed with it."""
+    tree = theta._trees.get(r)
+    if tree is None:
+        tree = theta._trees[r] = _DivisionTree(theta, r)
+    return tree
 
 
 def division_points(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import lru_cache
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
@@ -139,7 +138,6 @@ TriangleType = Literal["L", "R", "Start"]
 # division vertices
 
 
-@lru_cache(maxsize=1 << 16)
 def left_right_vertices(
     theta: IrrationalNumber, r: ReducedFraction
 ) -> tuple[ReducedFraction, ReducedFraction]:
@@ -152,15 +150,18 @@ def left_right_vertices(
     value window (0, value(|r|)), with k - 1 = floor(-x / |r|) read off
     theta's quotients by `IrrationalNumber.floor_ratio`.  A FinitePrefix
     that cannot decide that floor, or the signs `norm_to_fraction` checks,
-    raises PrecisionExhausted.
+    raises PrecisionExhausted.  theta keeps each split, with |l1| = x.
     """
-    w = theta_norm(r, theta)
-    # theta_norm's lift is primitive, so the extended Euclid identity
-    # w.m*s + w.n*t = 1 gives chi(x, w) = w.m*s + w.n*t = 1 for x = (-t, s)
-    _, s, t = _xgcd(w.m, w.n)
-    x = ThetaLatticeElement(-t, s, theta)
-    x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
-    return norm_to_fraction(x), norm_to_fraction(w - x)
+    split = theta._splits.get(r)
+    if split is None:
+        w = theta_norm(r, theta)
+        # theta_norm's lift is primitive, so the extended Euclid identity
+        # w.m*s + w.n*t = 1 gives chi(x, w) = w.m*s + w.n*t = 1 for x = (-t, s)
+        _, s, t = _xgcd(w.m, w.n)
+        x = ThetaLatticeElement(-t, s, theta)
+        x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
+        split = theta._splits[r] = (norm_to_fraction(x), norm_to_fraction(w - x)), x
+    return split[0]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cfrac import GREATER, IrrationalNumber, compare_theta_rational
 from .errors import MismatchedTheta
@@ -93,13 +92,11 @@ def chi(x: ThetaLatticeElement, y: ThetaLatticeElement) -> int:
     return y.m * x.n - x.m * y.n
 
 
-@lru_cache(maxsize=1 << 16)
 def theta_norm(r: ReducedFraction, theta: IrrationalNumber) -> ThetaLatticeElement:
     """|p/q|_θ = |qθ − p| as the positive primitive lattice lift.
 
     Returns (q, −p) when θ > p/q and (−q, p) when θ < p/q; the point ∞ = 1/0
-    always lifts to (0, 1) of value 1.  Memoized: division sweeps and bead
-    assertions ask for the same norms constantly.
+    always lifts to (0, 1) of value 1.
     """
     if r.is_infinite:
         return ThetaLatticeElement(0, 1, theta)

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import fareyslopes
 from fareyslopes.cfrac import EventuallyPeriodic
 from fareyslopes.cli import main
@@ -162,6 +164,27 @@ def test_divide_tree_and_points(capsys):
 def test_divide_tree_rejects_negative_depth(capsys):
     code, out, err = run(capsys, "divide", "tree", "[1;(1)]", "2/1", "--depth", "-1")
     assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
+
+
+_DOUBLING = [
+    ("divide", "tree", "[1;(1)]", "2/1"),
+    ("divide", "points", "[1;(1)]", "2/1"),
+    ("farey", "tree", "[1;(1)]", "2/1"),
+    ("render", "svg", "tree", "--theta", "[1;(1)]", "--far", "2/1"),
+    ("render", "svg", "tessellation"),
+]
+
+
+@pytest.mark.parametrize("argv", _DOUBLING, ids=lambda argv: " ".join(argv[:3]))
+def test_outputs_that_double_per_level_cap_the_depth(capsys, argv):
+    for depth in ("17", "2000"):
+        code, out, err = run(capsys, *argv, "--depth", depth)
+        assert (code, out, err) == (2, "", "error: depth must be <= 16: the output doubles with each level\n")
+
+
+def test_depth_cap_admits_16(capsys):
+    code, out, err = run(capsys, "render", "svg", "tessellation", "--depth", "16", "--format", "json")
+    assert (code, out, err) == (0, "16\n", "")
 
 
 def test_ctheta_and_construct(capsys):

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -168,10 +170,10 @@ def test_beads_windows_depth4():
 
 def test_bead_builds_compare_each_label_once(monkeypatch):
     # a label's phase, class and norm are stored once per tree: building all
-    # C(65, 2) windows asks one sign per distinct label, plus two for the window
-    division._tree.cache_clear()
-    theta_norm.cache_clear()
-    pts = division_points(golden, F(2, 1), 6)
+    # C(65, 2) windows asks one sign per distinct label, plus two for the window;
+    # a new slope object starts with no tree
+    theta = EventuallyPeriodic((1,), (1,))
+    pts = division_points(theta, F(2, 1), 6)
     calls = []
 
     def counting(self, m, n, _sign=EventuallyPeriodic.lattice_sign):
@@ -180,8 +182,8 @@ def test_bead_builds_compare_each_label_once(monkeypatch):
 
     monkeypatch.setattr(EventuallyPeriodic, "lattice_sign", counting)
     for c, d in itertools.combinations(pts, 2):
-        beads(golden, F(2, 1), c, d)
-    labels = {iv.vertex for iv in division._tree(golden, F(2, 1)).nodes.values()}
+        beads(theta, F(2, 1), c, d)
+    labels = {iv.vertex for iv in division._tree(theta, F(2, 1)).nodes.values()}
     assert len(labels) == 13
     assert len(calls) <= len(labels) + 2
 
@@ -313,7 +315,8 @@ _RAISES = [
 
 
 def test_errors_do_not_depend_on_what_the_tree_holds():
-    division._tree.cache_clear()
+    golden._trees.clear()
+    silver._trees.clear()
     for warm in (False, True):
         for call, kind, message in _RAISES:
             with pytest.raises(kind) as info:
@@ -374,7 +377,7 @@ def test_tree_matches_comparison_oracles(slope, depth, warm, data):
     if warm:
         assert _outcome(lambda: division_points(theta, r, depth)) == want
     else:
-        division._tree.cache_clear()
+        assert not theta._trees  # each example draws a new slope object
     if want[0] != "ok":
         return
     points = want[1]
@@ -409,6 +412,35 @@ def test_value_types_are_slotted(name):
     field = dataclasses.fields(value)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, getattr(value, field))
+
+
+def _fill(theta):
+    """A depth-8 division tree, beads and SES checks, all kept by theta."""
+    pts = division_points(theta, F(2, 1), 8)
+    for i in range(0, 240, 16):
+        assert ses_check(theta, F(2, 1), pts[i], pts[i + 5], pts[i + 16]).passed
+    assert beads(theta, F(2, 1), pts[0], pts[-1]).labels == (F(2, 1),)
+
+
+def test_slope_state_is_freed_with_the_slope():
+    theta = EventuallyPeriodic((1,), (1,))
+    _fill(theta)
+    ref = weakref.ref(theta)
+    del theta
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: EventuallyPeriodic((1,), (1,)), lambda: FinitePrefix((1,) * 40)], ids=["periodic", "prefix"]
+)
+def test_slope_copies_carry_no_state(make):
+    theta = make()
+    _fill(theta)
+    assert pickle.dumps(theta) == pickle.dumps(make())
+    for twin in (copy.copy(theta), copy.deepcopy(theta), pickle.loads(pickle.dumps(theta))):
+        assert type(twin) is type(theta) and twin == theta and hash(twin) == hash(theta)
+        assert (twin._memo, twin._splits, twin._trees) == ([(1, 0)], {}, {})
 
 
 def test_replace_on_division_interval():

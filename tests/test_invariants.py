@@ -192,15 +192,33 @@ def test_stored_label_norms_are_checked_under_python_O():
     assert _last_error_under_python_O(corrupt + _BEADS) == want
 
 
-def test_src_has_no_bare_asserts():
-    # python -O strips assert statements; every check in the library raises
+def _src_nodes():
+    """(file name, node) for every syntax node of the library's source."""
     src = os.path.dirname(fareyslopes.__file__)
-    found = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 tree = ast.parse(f.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            yield from ((name, node) for node in ast.walk(tree))
+
+
+def test_src_has_no_bare_asserts():
+    # python -O strips assert statements; every check in the library raises
+    found = [f"{name}:{node.lineno}" for name, node in _src_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _is_functools_cache(node) -> bool:
+    caches = ("lru_cache", "cache")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(alias.name in caches for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr in caches and getattr(node.value, "id", None) == "functools"
+
+
+def test_src_has_no_functools_caches():
+    # a slope keeps its own memo, freed with it; a module-level cache keyed
+    # by slopes would keep every slope it has seen alive
+    found = [f"{name}:{node.lineno}" for name, node in _src_nodes() if _is_functools_cache(node)]
     assert found == []
 
 
