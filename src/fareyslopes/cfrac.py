@@ -57,11 +57,13 @@ class IrrationalNumber:
     def _ensure(self, i: int) -> None:
         """Extend the (p, q) memo so that convergent i is available."""
         # memo[k] holds (p, q) for convergent index k-1; memo[0] = (1, 0).
+        # Each step reads the length once, as k, and writes slot k + 1, so
+        # threads filling one memo at once write equal values to equal slots.
         while len(self._memo) < i + 2:
             k = len(self._memo) - 1  # convergent index to compute
             a = self.quotient(k)
             (p1, q1), (p2, q2) = self._memo[k], self._memo[k - 1] if k else (0, 1)
-            self._memo.append((a * p1 + p2, a * q1 + q2))
+            self._memo[k + 1 : k + 2] = [(a * p1 + p2, a * q1 + q2)]
 
     def convergent(self, i: int) -> ReducedFraction:
         """β_i = p_i/q_i for i ≥ −1 (β₋₁ = 1/0)."""
@@ -331,25 +333,21 @@ def compare_theta_rational(theta: IrrationalNumber, r: ReducedFraction) -> int:
     return theta.lattice_sign(r.q, -r.p)
 
 
-def common_prefix(x: IrrationalNumber, y: IrrationalNumber) -> tuple:
-    """(k, (p_{k−1}, q_{k−1}), (p_{k−2}, q_{k−2})) for distinct x and y.
+def common_prefix(x: IrrationalNumber, y: IrrationalNumber) -> int:
+    """The first index k where the partial quotients of distinct x and y differ.
 
-    k is the first index where the partial quotients of x and y differ; the
-    pairs are the last two convergents of the quotients a₀ … a_{k−1} they
-    share, starting from (1, 0) and (0, 1) when k = 0.  Canonical
-    EventuallyPeriodic values that differ also differ in some quotient, so
-    the scan ends; a FinitePrefix that runs out first raises
-    PrecisionExhausted, even when both prefixes are the same.
+    Their shared quotients a₀ … a_{k−1} give the same convergents, which
+    either slope's memo holds.  Canonical EventuallyPeriodic values that
+    differ also differ in some quotient, so the scan ends; a FinitePrefix
+    that runs out first raises PrecisionExhausted, even when both prefixes
+    are the same.
     """
     if isinstance(x, EventuallyPeriodic) and x == y:
         raise ValueError("slopes must be distinct")
-    prev, prev2 = (1, 0), (0, 1)
     k = 0
     while x.quotient(k) == y.quotient(k):
-        a = x.quotient(k)
-        prev, prev2 = (a * prev[0] + prev2[0], a * prev[1] + prev2[1]), prev
         k += 1
-    return k, prev, prev2
+    return k
 
 
 def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
@@ -359,7 +357,7 @@ def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
     quotient at k lies strictly between a_k and a_k + 1, so the larger a_k
     gives the larger number when k is even and the smaller one when k is odd.
     """
-    k, _, _ = common_prefix(x, y)
+    k = common_prefix(x, y)
     if (x.quotient(k) < y.quotient(k)) == (k % 2 == 0):
         return LESS
     return GREATER
@@ -390,21 +388,17 @@ def convergents(theta: IrrationalNumber, n: int) -> ConvergentTable:
 
 
 def semiconvergents(theta: IrrationalNumber, i: int) -> list:
-    """β_{i,m} = (p_i + m·p_{i+1})/(q_i + m·q_{i+1}) for m = 0..a_{i+2}.
+    """The row of ``semiconvergent``: β_{i,m} for m = 0..a_{i+2}.
 
     The first entry is β_i and the last is β_{i+2}; consecutive entries are
-    Farey neighbours.
+    Farey neighbours.  Convergent i + 1 is read before quotient i + 2.
     """
-    if i < -1:
-        raise ValueError("semiconvergent row starts at i = -1")
-    p_i, q_i = theta.convergent_pair(i)
-    p_n, q_n = theta.convergent_pair(i + 1)
-    a = theta.quotient(i + 2)
-    return [ReducedFraction(p_i + m * p_n, q_i + m * q_n) for m in range(a + 1)]
+    head = semiconvergent(theta, i, 0)
+    return [head] + [semiconvergent(theta, i, m) for m in range(1, theta.quotient(i + 2) + 1)]
 
 
 def semiconvergent(theta: IrrationalNumber, i: int, m: int) -> ReducedFraction:
-    """Single β_{i,m} without materialising the whole row."""
+    """β_{i,m} = (p_i + m·p_{i+1})/(q_i + m·q_{i+1}), without the whole row."""
     if i < -1:
         raise ValueError("semiconvergent row starts at i = -1")
     p_i, q_i = theta.convergent_pair(i)

@@ -417,7 +417,6 @@ def approximate_rank(
     r: ReducedFraction,
     target: Fraction,
     tol: Fraction,
-    depth_cap: int = _DEPTH_CAP,
 ) -> List[BeadObject]:
     """Chain of prefix bead objects whose rotated ranks climb to ``target``.
 
@@ -427,7 +426,7 @@ def approximate_rank(
     tol are exact (anything ``Fraction`` takes), and x = m*theta + n lies at
     or below p/q exactly when q*m*theta + q*n - p has sign <= 0.  Needs
     0 < target < |r|_theta and the slope window 0 < slope(r) - theta < 1;
-    raises TolTooTight when ``depth_cap`` levels do not reach the tolerance.
+    raises TolTooTight when 64 levels do not reach the tolerance.
     """
     tree = _tree(theta, r)
     tree.require_window()
@@ -444,12 +443,12 @@ def approximate_rank(
         raise ValueError(f"target must lie strictly between 0 and {root.real_length()}")
     chain: List[BeadObject] = []
     level = k = 0
-    for _ in range(depth_cap):
+    for _ in range(_DEPTH_CAP):
         mid = tree.children(level, k)[1].a
         level, k = level + 1, 2 * k
         if not above(mid, target):
-            chain.append(tree.bead(root.a, mid, depth_cap)[0])
+            chain.append(tree.bead(root.a, mid, _DEPTH_CAP)[0])
             if above(mid, target - tol):
                 return chain
             k += 1
-    raise TolTooTight(f"no division point within {tol} of {target} in {depth_cap} levels")
+    raise TolTooTight(f"no division point within {tol} of {target} in {_DEPTH_CAP} levels")

@@ -31,6 +31,7 @@ from .cfrac import (
     compare_irrationals,
     compare_theta_rational,
     semiconvergent,
+    semiconvergents,
 )
 from .errors import NoPath
 from .exact import ReducedFraction
@@ -86,7 +87,7 @@ def is_farey_geodesic(a: ReducedFraction, b: ReducedFraction) -> bool:
     """True when a and b span an edge of the Farey tessellation."""
     if a == b:
         raise ValueError("a geodesic needs two distinct endpoints")
-    return abs(a.det(b)) == 1
+    return a.is_farey_neighbor(b)
 
 
 def _difference_vertex(u: ReducedFraction, v: ReducedFraction) -> ReducedFraction:
@@ -360,18 +361,13 @@ def _base_edge(theta: IrrationalNumber, r: IrrationalNumber) -> tuple[ReducedFra
     side: m with the semiconvergent [common prefix; c] when b_k is the
     smaller quotient, m with the convergent [common prefix] otherwise.
     """
-    k, prev, prev2 = common_prefix(theta, r)
+    k = common_prefix(theta, r)
     b = r.quotient(k)
     if k == 0:
         return ReducedFraction(b, 1), ReducedFraction(b + 1, 1)
     c = min(theta.quotient(k), b)
-    other = _extend_prefix(prev, prev2, c) if b == c else ReducedFraction(*prev)
-    return tuple(sorted((_extend_prefix(prev, prev2, c + 1), other)))
-
-
-def _extend_prefix(prev: tuple[int, int], prev2: tuple[int, int], t: int) -> ReducedFraction:
-    """The fraction [common prefix; t] from the prefix's last two convergents."""
-    return ReducedFraction(t * prev[0] + prev2[0], t * prev[1] + prev2[1])
+    other = semiconvergent(r, k - 2, c) if b == c else r.convergent(k - 1)
+    return tuple(sorted((semiconvergent(r, k - 2, c + 1), other)))
 
 
 def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int) -> FareyDiagram:
@@ -565,8 +561,9 @@ def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction
     """
     if compare_irrationals(theta, theta2) != LESS:
         raise ValueError("need theta < theta2")
-    k, prev, prev2 = common_prefix(theta, theta2)
-    return _extend_prefix(prev, prev2, min(theta.quotient(k), theta2.quotient(k)) + 1)
+    k = common_prefix(theta, theta2)
+    t = min(theta.quotient(k), theta2.quotient(k)) + 1
+    return semiconvergent(theta, k - 2, t) if k else ReducedFraction(t, 1)
 
 
 # --------------------------------------------------------------------------
@@ -649,12 +646,11 @@ def roller_coaster(theta: IrrationalNumber, depth: int) -> RollerCoaster:
         classes[key] = cls
 
     for i in range(-1, depth + 1):
-        a_next = theta.quotient(i + 2)
+        row = semiconvergents(theta, i)
         apex = theta.convergent(i + 1)
-        for m in range(a_next + 1):
-            add_vertex(semiconvergent(theta, i, m), i, m)
-        for m in range(a_next):
-            u, v = semiconvergent(theta, i, m), semiconvergent(theta, i, m + 1)
+        for m, v in enumerate(row):
+            add_vertex(v, i, m)
+        for m, (u, v) in enumerate(zip(row, row[1:])):
             triangles.append(FareyTriangle((u, v, apex)))
             add_edge(u, v, "exterior")
             add_edge(u, apex, "exterior" if (i == -1 and m == 0) else "interior")

@@ -48,25 +48,14 @@ class CThetaReport:
 # -- the c invariant ---------------------------------------------------------
 
 
-def _even_orbit_gcd(theta: EventuallyPeriodic, j0: int) -> int:
-    """gcd of the quotients a_{j0}, a_{j0+2}, a_{j0+4}, … for j0 past the
-    preperiod — one full period of the even-step orbit covers them all."""
-    ell = len(theta.period)
-    g = 0
-    for t in range(ell):
-        g = math.gcd(g, theta.quotient(j0 + 2 * t))
-    return g
-
-
 def _tail_gcd(theta: EventuallyPeriodic, start: int) -> int:
-    """gcd of a_j over even steps j = start, start+2, … (infinite tail)."""
-    n0 = len(theta.preperiod)
-    g = 0
-    j = start
-    while j < n0:
-        g = math.gcd(g, theta.quotient(j))
-        j += 2
-    return math.gcd(g, _even_orbit_gcd(theta, j))
+    """gcd of a_j over even steps j = start, start+2, … (infinite tail).
+
+    The steps inside the preperiod are folded, then one period of the
+    even-step orbit past it, which covers every later step.
+    """
+    steps = max(0, (len(theta.preperiod) - start + 1) // 2) + len(theta.period)
+    return math.gcd(*(theta.quotient(j) for j in range(start, start + 2 * steps, 2)))
 
 
 def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:

@@ -214,13 +214,11 @@ class LimitObjectDescriptor:
     side "minus" is the colimit of injections along the even-index
     convergent bundles (slopes climbing to theta from below); side "plus"
     the limit of surjections along the odd-index convergent bundles (slopes
-    falling to theta from above).  ``morphism_tag`` is an opaque label for
-    distinguishing structure maps; no computation reads it.
+    falling to theta from above).  Its slope and side identify it.
     """
 
     theta: IrrationalNumber
     side: str
-    morphism_tag: Optional[str] = None
 
     def __post_init__(self):
         if self.side not in (PLUS, MINUS):
@@ -230,10 +228,7 @@ class LimitObjectDescriptor:
         return f"O({self.theta}{'+' if self.side == PLUS else '-'})"
 
     def to_dict(self) -> dict:
-        out = {"theta": str(self.theta), "side": self.side}
-        if self.morphism_tag is not None:
-            out["morphism_tag"] = self.morphism_tag
-        return out
+        return {"theta": str(self.theta), "side": self.side}
 
 
 HomEnd = Union[StableClass, LimitObjectDescriptor]

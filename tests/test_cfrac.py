@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,32 @@ def test_translated():
     assert pre.quotients == (-3, 3, 4)
 
 
+def test_threads_filling_one_memo_agree_with_one_thread():
+    # four threads race to fill a fresh slope's memo; each fill writes the
+    # slot it computed, so the memo holds the same entries as a lone fill
+    want = EventuallyPeriodic((1,), (1, 2, 3))
+    want.convergent_pair(3000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            theta = EventuallyPeriodic((1,), (1, 2, 3))
+            barrier = threading.Barrier(4)
+
+            def fill():
+                barrier.wait()
+                theta.convergent_pair(3000)
+
+            threads = [threading.Thread(target=fill) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert theta._memo[: len(want._memo)] == want._memo
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- semiconvergents ----------------------------------------------------------
 
 
@@ -189,6 +217,13 @@ def test_negative_indices_below_minus_one_are_rejected():
         semiconvergent(theta, -2, 1)
     assert theta.convergent_pair(-1) == (1, 0)
     assert semiconvergent(theta, -1, 1) == F(2, 1)
+
+
+def test_semiconvergent_row_on_a_prefix_names_the_first_missing_quotient():
+    # convergent i + 1 is read before quotient i + 2
+    with pytest.raises(PrecisionExhausted) as exc:
+        semiconvergents(FinitePrefix((1, 2)), 2)
+    assert exc.value.needed_depth == 3
 
 
 def test_semiconvergents_are_farey_neighbors():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -271,3 +272,33 @@ def test_readme_commands_never_raise(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
     # a 400-digit fraction once overflowed the float translate estimate
     assert code == 0 and json.loads(out)["root"]["fraction"] == f"{big + 1}/{big}"
+
+
+# exit code and sha256 of stdout of each README command
+_README_BYTES = {
+    "cf convergents '[1;(1)]' -n 6": (0, "629871ff8e10f625dc254be536f5b5eabc337d4880519a07293e00b8a3d01cee"),
+    "cf ctheta '[0;1,2,(1,3)]'": (0, "ca3072c90e8e46e560bf547d6763f09f676006a10e29bf505e0e4763afa495c4"),
+    'cf construct --seed 1,1,2 --depth 4': (0, "1c1e02f9d1cbd8eb9ae2e09c7102e28257fc0a32c8c9d15cfd0137464642872d"),
+    "farey diagram '[1;(1)]' 1/0 --depth 6": (0, "6029b22de56eb62d8ec23ff07531d52d0365175ecad7863363710c4531969a83"),
+    "farey cutting '[1;(2)]' --depth 8": (0, "c6cb6eaa740e1c0d3f7356e322fb6f336bbc49bf864ff3b30bde3739efaa96e7"),
+    "farey bottom '[1;(2)]' '[1;(1)]'": (0, "f40e0e5bcd958be5b6a98e97fbf93a61fe86485970d2606ee03b8e0f5cfe639e"),
+    "farey product 3/2 1/0 --theta '[1;(1)]'": (0, "f40e0e5bcd958be5b6a98e97fbf93a61fe86485970d2606ee03b8e0f5cfe639e"),
+    'sheaf chi 0/1 3/1': (0, "9b6d35627c396d620b9416d51ba933a565156b27abd730cab3e5ceb0ef431df4"),
+    'sheaf hom 0/1 1/1': (0, "5b016872e7cbfa260ac427a9a6395059e18c99fb2c2a749b3920c80d337788a3"),
+    'sheaf enumerate --max-rank 2': (0, "c759a3484c7b45726b0c5ed357240f37d6a5722f0f76f8f8196c5414835f94b1"),
+    "sheaf classify '[1;(2)]-' '[1;(1)]+' --depth 4": (0, "965ceb7478cb7d322084a906485da755a506a437e2fc27e7353b79556a394fc7"),
+    "divide points '[1;(1)]' 2/1 --depth 3": (0, "b8eebcba8361eef4e103caf192a5974d5c93bdfbf80ad9b9f74b28d749fb2aa2"),
+    "divide beads '[1;(1)]' 2/1 '(0,0)' '(-3,5)'": (0, "228606e56e323a70dd003da8500a1af894eaecd67b62e8c2fb5192d9f30720b5"),
+    "divide ses '[1;(1)]' 2/1 '(0,0)' '(-3,5)' '(-1,2)'": (0, "b2d7add6ccb3f91c6988ececa0d37a364c2d1e5fb879f868330c4d520846f5a0"),
+    'render svg tessellation --depth 6 --out tess.svg': (0, "3c51b136b1d1f9920f7a7133bbe9fa2ef5ffb8210f6885d2c548ed3bf00c2da8"),
+    "render svg coaster --theta '[1;(1)]' --depth 3 --format json": (0, "8b94d2fd5488465a81d28039f2071026bb5b76eafb1fda301c4bec676ec5ff68"),
+}
+
+
+def test_readme_commands_keep_their_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so `--out tess.svg` reports the same path
+    seen = {}
+    for argv in _readme_commands():
+        code, out, _ = run(capsys, *argv)
+        seen[shlex.join(argv)] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert seen == _README_BYTES

@@ -1,15 +1,16 @@
 """FinitePrefix truncations of eventually periodic slopes: each answer of
-`slope_lt`, `bottom`, `cutting_sequence`, `farey_diagram` and
-`theta_product` matches the full slope's, or PrecisionExhausted names a
-depth that lets a longer prefix make progress.  Where the walking oracles
-answer on a truncation, the library answers too, with the same result."""
+`slope_lt`, `bottom`, `cutting_sequence`, `semiconvergents`,
+`roller_coaster`, `farey_diagram` and `theta_product` matches the full
+slope's, or PrecisionExhausted names a depth that lets a longer prefix make
+progress.  Where the walking oracles answer on a truncation, the library
+answers too, with the same result."""
 
 from hypothesis import assume, given, settings, strategies as st
 
-from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
+from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix, semiconvergents
 from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import ReducedFraction
-from fareyslopes.farey import bottom, cutting_sequence, farey_diagram, slope_lt, theta_product
+from fareyslopes.farey import bottom, cutting_sequence, farey_diagram, roller_coaster, slope_lt, theta_product
 
 from _oracles import reference_diagram, theta_product_by_walk
 
@@ -59,6 +60,12 @@ def test_finite_prefix_matches_or_exhausts(pair, n1, n2, depth):
     assert _answer_from_prefixes(bottom, (lo, hi), (n1, n2)) == bottom(lo, hi)
     runs = _answer_from_prefixes(lambda t: cutting_sequence(t, depth).runs, (x,), (n1,))
     assert runs == cutting_sequence(x, depth).runs
+    for i in range(-1, 9):
+        assert _answer_from_prefixes(lambda t: semiconvergents(t, i), (x,), (n1,)) == semiconvergents(x, i)
+    for d in range(1, 5):
+        # a coaster's text names its slope, which differs between prefix and slope
+        coaster = _answer_from_prefixes(lambda t: dict(roller_coaster(t, d).to_dict(), theta=None), (x,), (n1,))
+        assert coaster == dict(roller_coaster(x, d).to_dict(), theta=None)
 
 
 def _shape(diagram):

@@ -222,6 +222,24 @@ def test_src_has_no_functools_caches():
     assert found == []
 
 
+def test_src_has_no_unreferenced_private_names():
+    # a module-level private function, class or constant that no code in
+    # the library reads any more is left over from a change that moved on
+    defined, used = {}, set()
+    for name, node in _src_nodes():
+        if isinstance(node, ast.Module):
+            for stmt in node.body:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                for ident in [getattr(stmt, "name", None)] + [getattr(t, "id", None) for t in targets]:
+                    if ident and ident.startswith("_") and not ident.startswith("__"):
+                        defined[ident] = f"{name}:{stmt.lineno} {ident}"
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.Attribute, ast.alias)):
+            used.add(getattr(node, "attr", None) or node.name)
+    assert sorted(where for ident, where in defined.items() if ident not in used) == []
+
+
 # -- quotient bounds ----------------------------------------------------------
 
 
