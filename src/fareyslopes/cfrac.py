@@ -350,17 +350,23 @@ def common_prefix(x: IrrationalNumber, y: IrrationalNumber) -> int:
     return k
 
 
-def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
-    """Exact order of two distinct irrationals: +1 when x > y, −1 when x < y.
+def _first_difference(x: IrrationalNumber, y: IrrationalNumber) -> tuple[int, int, int]:
+    """(order of x against y, first index k where they differ, the smaller
+    of their quotients at k), from one scan of the shared prefix.
 
-    Decided at the first index k where the quotients differ: the complete
-    quotient at k lies strictly between a_k and a_k + 1, so the larger a_k
-    gives the larger number when k is even and the smaller one when k is odd.
+    The complete quotient at k lies strictly between a_k and a_k + 1, so the
+    larger a_k gives the larger number when k is even and the smaller one
+    when k is odd.
     """
     k = common_prefix(x, y)
-    if (x.quotient(k) < y.quotient(k)) == (k % 2 == 0):
-        return LESS
-    return GREATER
+    a, b = x.quotient(k), y.quotient(k)
+    return (LESS if (a < b) == (k % 2 == 0) else GREATER), k, min(a, b)
+
+
+def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
+    """Exact order of two distinct irrationals: +1 when x > y, −1 when x < y,
+    decided at the first index where their quotients differ."""
+    return _first_difference(x, y)[0]
 
 
 # -- convergent and semiconvergent tables -----------------------------------

@@ -27,6 +27,7 @@ from .cfrac import (
     LESS,
     FinitePrefix,
     IrrationalNumber,
+    _first_difference,
     common_prefix,
     compare_irrationals,
     compare_theta_rational,
@@ -559,11 +560,10 @@ def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction
     min(a_k, b_k) + 1] (for k = 0 the integer min(a0, b0) + 1).  Requires
     theta < theta2.
     """
-    if compare_irrationals(theta, theta2) != LESS:
+    order, k, low = _first_difference(theta, theta2)
+    if order != LESS:
         raise ValueError("need theta < theta2")
-    k = common_prefix(theta, theta2)
-    t = min(theta.quotient(k), theta2.quotient(k)) + 1
-    return semiconvergent(theta, k - 2, t) if k else ReducedFraction(t, 1)
+    return semiconvergent(theta, k - 2, low + 1) if k else ReducedFraction(low + 1, 1)
 
 
 # --------------------------------------------------------------------------

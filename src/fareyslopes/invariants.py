@@ -162,27 +162,95 @@ def bounded_quotients(theta: IrrationalNumber, depth: int = 0):
 
 # -- the CRT constructor ------------------------------------------------------
 
-# Only the constructor factors integers, so sympy is imported on first use
-# rather than with the package: every other entry point, and the CLI start-up,
-# skips its import.
+# Only the constructor factors integers.  Trial division by 2 and the odd
+# numbers below 2**10 leaves a cofactor that is prime below 2**20, and below
+# _MR_BOUND Miller–Rabin with the first 13 prime bases is exact (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+# sympy is imported only for a composite cofactor, or one at or above the
+# bound, so every other entry point, and most constructions, skip its import.
+
+_TRIAL = 1 << 10
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strip_small(n: int) -> tuple[dict, int]:
+    """({p: e} for the factors p < 2**10 of n, the cofactor of n past them).
+
+    A cofactor below 2**20 is 1 or prime; n < 1 is returned unchanged."""
+    factors = {}
+    p = 2
+    while p < _TRIAL and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
+        p += 1 if p == 2 else 2
+    return factors, n
+
+
+def _settled_prime(m: int) -> bool | None:
+    """Whether m > 1, free of factors below 2**10, is prime; None at or
+    above _MR_BOUND, where only sympy can tell."""
+    if m < _TRIAL * _TRIAL:
+        return True
+    if m >= _MR_BOUND:
+        return None
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:  # x never reached m − 1; a 1 reached by squaring proves m composite
+            return False
+    return True
 
 
 def factorint(n: int) -> dict:
-    from sympy import factorint
+    """The prime factorization {p: e} of n, equal to sympy's ``factorint(n)``.
 
-    return factorint(n)
+    Factors below 2**10 are found by trial division and a prime cofactor is
+    settled in-library; sympy factors only a composite cofactor, or one at or
+    above _MR_BOUND, and its factors join the dict."""
+    factors, rest = _strip_small(n)
+    if rest != 1:
+        if rest > 1 and _settled_prime(rest):
+            factors[rest] = 1
+        else:
+            from sympy import factorint
+
+            factors.update(factorint(rest))
+    return factors
 
 
 def isprime(n: int) -> bool:
-    from sympy import isprime
+    """Whether n is prime: exact in-library below _MR_BOUND, sympy above."""
+    factors, rest = _strip_small(n)
+    if factors or rest < 2:
+        return factors == {n: 1}
+    settled = _settled_prime(rest)
+    if settled is None:
+        from sympy import isprime
 
-    return isprime(n)
+        return isprime(n)
+    return settled
 
 
 def nextprime(n: int) -> int:
-    from sympy import nextprime
-
-    return nextprime(n)
+    """The smallest prime greater than n, as sympy's ``nextprime`` gives it."""
+    p = max(n + 1, 2)
+    while not isprime(p):
+        p += 1
+    return p
 
 
 def _default_prime_picker(forbidden: int, cap: int = 10**6) -> int:

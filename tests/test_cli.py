@@ -70,11 +70,14 @@ def test_only_construct_imports_sympy(capsys):
     # fresh processes: the test modules themselves import sympy
     done = _fresh("-c", _MAIN_THEN_SYMPY, "farey", "diagram", "[1;(1)]", "1/0", "--depth", "6")
     assert done.returncode == 0 and done.stderr == "False\n"
-    argv = ["cf", "construct", "--seed", "1,1,2", "--depth", "4"]
-    done = _fresh("-c", _MAIN_THEN_SYMPY, *argv)
-    assert done.returncode == 0 and done.stderr == "True\n"
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and done.stdout == out
+    # seed 1,1,2 factors only numbers settled in-library; at depth 4 seed
+    # 0,1,5 meets a composite cofactor, which sympy factors
+    for seed, loads_sympy in (("1,1,2", False), ("0,1,5", True)):
+        argv = ["cf", "construct", "--seed", seed, "--depth", "4"]
+        done = _fresh("-c", _MAIN_THEN_SYMPY, *argv)
+        assert done.returncode == 0 and done.stderr == f"{loads_sympy}\n"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and done.stdout == out
 
 
 def test_bad_input_exits_two(capsys):

@@ -472,6 +472,17 @@ def test_order_and_bottom_past_600_shared_quotients():
     assert bottom(golden601, golden) == F(value.numerator, value.denominator)
 
 
+def test_bottom_scans_the_shared_prefix_once():
+    # fresh slopes, so every read is counted: 2 x 602 to find k = 601, the
+    # two quotients at k, and 601 to fill the memo up to convergent 600
+    lo, hi = EventuallyPeriodic((1,) + (1,) * 600, (2,)), EventuallyPeriodic((1,), (1,))
+    reads = []
+    for slope in (lo, hi):
+        slope.quotient = (lambda read: lambda k: reads.append(k) or read(k))(slope.quotient)
+    assert bottom(lo, hi) == bottom(golden601, golden)
+    assert len(reads) == 1807
+
+
 def test_bottom_matches_denominator_sweep():
     rng = random.Random(19)
     done = 0

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import os
 import random
@@ -6,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from sympy import factorint
 
 import fareyslopes
+from fareyslopes import invariants
 from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import PrecisionExhausted, SeedRejected
 from fareyslopes.invariants import (
@@ -311,3 +314,61 @@ def test_conditions_reject_tampering():
     qs = list(theta.quotients)
     qs[4] += 1  # break condition (1) at the first constructed index
     assert not special_conditions_hold(FinitePrefix(qs))
+
+
+# -- factoring without sympy --------------------------------------------------
+
+_MR_BOUND = 3317044064679887385961981  # a strong pseudoprime to bases 2..41
+_PSEUDOPRIMES = [
+    561, 1105, 1729,  # Carmichael numbers
+    1171 * 2341 * 3511,  # a Carmichael number with every factor past trial division
+    2047, 3215031751, 3825123056546413051, 318665857834031151167461,  # strong pseudoprimes
+]
+_PAST_TRIAL = [1031 * 1033, 1031**2, 2**61 - 1, (2**61 - 1) * (2**31 - 1)]
+
+
+def test_isprime_and_nextprime_match_sympy(monkeypatch):
+    hard = _PSEUDOPRIMES + _PAST_TRIAL
+    want = [sympy.isprime(n) for n in range(-2, 20000)]
+    want_next = [sympy.nextprime(n) for n in range(-2, 3000)]
+    want_hard = {n: sympy.isprime(n) for n in hard + [_MR_BOUND]}
+    # below the bound no answer needs sympy
+    monkeypatch.setattr(sympy, "isprime", None)
+    assert [invariants.isprime(n) for n in range(-2, 20000)] == want
+    assert [invariants.nextprime(n) for n in range(-2, 3000)] == want_next
+    below = [n for n in hard if n < _MR_BOUND]
+    assert [invariants.isprime(n) for n in below] == [want_hard[n] for n in below]
+    monkeypatch.undo()
+    assert {n: invariants.isprime(n) for n in want_hard} == want_hard
+
+
+# the largest pseudoprime and the bound are left out: sympy takes ~0.4 s to
+# split each, and isprime above covers them
+@pytest.mark.parametrize("n", _PSEUDOPRIMES[:-1] + _PAST_TRIAL)
+def test_factorint_matches_sympy(n):
+    assert invariants.factorint(n) == factorint(n)
+
+
+def test_seed_grid_quotients_match_sympy_helpers(monkeypatch):
+    seeds = [(a0, a1, a2) for a0 in range(4) for a1 in (1, 2, 3) for a2 in (1, 2, 3, 5, 6, 7, 10)]
+    ours = [construct_special_theta(*seed, depth=4).quotients for seed in seeds]
+    for name in ("factorint", "isprime", "nextprime"):
+        monkeypatch.setattr(invariants, name, getattr(sympy, name))
+    assert [construct_special_theta(*seed, depth=4).quotients for seed in seeds] == ours
+
+
+def test_tracer_binds_the_factoring_helpers():
+    # bench/tracer.py wraps these module-level functions by name (its
+    # SYMPY_NAMES); without one of them a traced bench run fails
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    (names,) = [
+        ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "SYMPY_NAMES"
+    ]
+    assert sorted(names) == ["factorint", "isprime", "nextprime"]
+    for name in names:
+        fn = vars(invariants)[name]
+        assert inspect.isfunction(fn) and fn.__module__ == invariants.__name__
