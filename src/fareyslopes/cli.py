@@ -4,7 +4,13 @@ Exit codes: 0 success, 2 bad input (argparse uses the same code), 3 when a
 finite quotient prefix runs out of depth — the needed depth is printed to
 stderr so the caller knows how much more to supply.  Outputs that double per
 level (divide tree and points, farey tree, render svg tree and tessellation)
-take a --depth of at most 16; `divide points` then prints 65 537 points (5 MB).
+take a --depth of at most 16; `divide points` then prints 65 537 points (5 MB),
+and `cf semiconvergents` prints no row longer than that.
+
+This module imports only what the cf group uses (errors, exact, cfrac,
+invariants); every other handler imports its modules when it runs: farey
+for the farey group, farey and render for render, sheaves (which loads
+farey) for sheaf, and division (which loads all but render) for divide.
 """
 
 from __future__ import annotations
@@ -12,33 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from .cfrac import (
-    EventuallyPeriodic,
-    FinitePrefix,
-    IrrationalNumber,
-    convergents,
-    semiconvergents,
-)
-from .division import (
-    approximate_rank,
-    beads,
-    divide,
-    division_points,
-    root_interval,
-    ses_check,
-)
+from .cfrac import IrrationalNumber, convergents, semiconvergents
 from .errors import FareySlopesError, PrecisionExhausted
 from .exact import ReducedFraction
-from .farey import (
-    bottom,
-    cutting_sequence,
-    farey_diagram,
-    farey_tree,
-    roller_coaster,
-    theta_product,
-)
 from .invariants import (
     LowerBoundOnly,
     Stabilized,
@@ -47,25 +31,14 @@ from .invariants import (
     d_chain,
     special_conditions_hold,
 )
-from .lattice import ThetaLatticeElement
-from .render import RenderSpec, render_svg
-from .sheaves import (
-    MINUS,
-    PLUS,
-    LimitObjectDescriptor,
-    StableClass,
-    chi_pair,
-    endo_dim_bound,
-    enumerate_minimal_triangles,
-    farey_type_image,
-    hom_classify,
-    hom_ext_dims,
-    is_minimal_triangle,
-    kclass_colimit_check,
-    quotient_multiplicity,
-)
+
+if TYPE_CHECKING:  # the handlers import these, so a subcommand loads only its modules
+    from .lattice import ThetaLatticeElement
+    from .render import RenderSpec
+    from .sheaves import StableClass
 
 _DOUBLING_DEPTH_CAP = 16
+_ROW_CAP = 2**_DOUBLING_DEPTH_CAP + 1  # as many entries as `divide points --depth 16` prints
 
 # --------------------------------------------------------------------------
 # argument parsing helpers
@@ -100,12 +73,14 @@ def _parse_vector(text: str) -> Tuple[int, int]:
 
 
 def _parse_stable(text: str) -> StableClass:
+    from .sheaves import StableClass
     d, r = _parse_vector(text)
     return StableClass(d, r)
 
 
 def _parse_hom_object(text: str):
     """'d/r' for a stable class; a CF string ending '+' or '-' for a limit."""
+    from .sheaves import MINUS, PLUS, LimitObjectDescriptor
     stripped = text.strip()
     if stripped.endswith(("+", "-")):
         side = PLUS if stripped.endswith("+") else MINUS
@@ -116,6 +91,7 @@ def _parse_hom_object(text: str):
 def _parse_point(text: str, theta: IrrationalNumber) -> ThetaLatticeElement:
     """A lattice element '(m,n)' meaning m*theta + n (parens optional but
     they keep a leading minus sign out of argparse's option matching)."""
+    from .lattice import ThetaLatticeElement
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
@@ -145,6 +121,11 @@ def _cmd_cf_convergents(args) -> list:
 
 def _cmd_cf_semiconvergents(args) -> list:
     theta = _parse_theta(args.theta)
+    # i < -1 is left to the library; else read as it does: convergent i + 1, then quotient i + 2
+    if args.n >= -1:
+        theta.convergent_pair(args.n + 1)
+        if theta.quotient(args.n + 2) + 1 > _ROW_CAP:
+            raise ValueError(f"row {args.n} has more than {_ROW_CAP} entries, the most this command prints")
     return [str(b) for b in semiconvergents(theta, args.n)]
 
 
@@ -183,22 +164,26 @@ def _cmd_cf_construct(args) -> dict:
 
 
 def _cmd_farey_diagram(args) -> dict:
+    from .farey import farey_diagram
     return farey_diagram(
         _parse_theta(args.theta), _parse_slope(args.far), args.depth
     ).to_dict()
 
 
 def _cmd_farey_tree(args) -> dict:
+    from .farey import farey_tree
     return farey_tree(
         _parse_theta(args.theta), _parse_fraction(args.far), _capped(args.depth)
     ).to_dict()
 
 
 def _cmd_farey_cutting(args) -> dict:
+    from .farey import cutting_sequence
     return cutting_sequence(_parse_theta(args.theta), args.depth).to_dict()
 
 
 def _cmd_farey_product(args) -> str:
+    from .farey import theta_product
     result = theta_product(
         _parse_slope(args.first), _parse_slope(args.second), _parse_theta(args.theta)
     )
@@ -206,10 +191,12 @@ def _cmd_farey_product(args) -> str:
 
 
 def _cmd_farey_bottom(args) -> str:
+    from .farey import bottom
     return str(bottom(_parse_theta(args.theta), _parse_theta(args.theta2)))
 
 
 def _cmd_farey_coaster(args) -> dict:
+    from .farey import roller_coaster
     return roller_coaster(_parse_theta(args.theta), args.depth).to_dict()
 
 
@@ -218,20 +205,24 @@ def _cmd_farey_coaster(args) -> dict:
 
 
 def _cmd_sheaf_chi(args) -> dict:
+    from .sheaves import chi_pair
     return chi_pair(_parse_vector(args.first), _parse_vector(args.second)).to_dict()
 
 
 def _cmd_sheaf_hom(args) -> dict:
+    from .sheaves import hom_ext_dims
     hom, ext1 = hom_ext_dims(_parse_stable(args.source), _parse_stable(args.target))
     return {"hom": hom.to_dict(), "ext1": ext1.to_dict(), "chi": (hom - ext1).to_dict()}
 
 
 def _cmd_sheaf_minimal(args) -> dict:
+    from .sheaves import is_minimal_triangle
     e, f, g = (_parse_stable(t) for t in (args.sub, args.middle, args.quotient))
     return {"is_minimal_triangle": is_minimal_triangle(e, f, g)}
 
 
 def _cmd_sheaf_enumerate(args) -> list:
+    from .sheaves import enumerate_minimal_triangles
     triples = enumerate_minimal_triangles(args.max_rank, args.max_degree)
     return [
         {"sub": e.to_dict(), "middle": f.to_dict(), "quotient": g.to_dict()}
@@ -240,15 +231,18 @@ def _cmd_sheaf_enumerate(args) -> list:
 
 
 def _cmd_sheaf_kclass(args) -> dict:
+    from .sheaves import kclass_colimit_check
     return kclass_colimit_check(_parse_theta(args.theta), args.depth).to_dict()
 
 
 def _cmd_sheaf_bound(args) -> dict:
+    from .sheaves import MINUS, LimitObjectDescriptor, endo_dim_bound
     desc = LimitObjectDescriptor(_parse_theta(args.theta), MINUS)
     return endo_dim_bound(desc, budget=args.budget).to_dict()
 
 
 def _cmd_sheaf_classify(args) -> dict:
+    from .sheaves import hom_classify
     return hom_classify(
         _parse_hom_object(args.source),
         _parse_hom_object(args.target),
@@ -258,11 +252,13 @@ def _cmd_sheaf_classify(args) -> dict:
 
 
 def _cmd_sheaf_image(args) -> dict:
+    from .sheaves import farey_type_image
     cls = farey_type_image(_parse_theta(args.theta), _parse_theta(args.theta2))
     return {"image": cls.to_dict(), "slope": str(cls.slope())}
 
 
 def _cmd_sheaf_multiplicity(args) -> dict:
+    from .sheaves import quotient_multiplicity
     return {
         "multiplicity": quotient_multiplicity(
             _parse_vector(args.vector), _parse_fraction(args.slope)
@@ -275,6 +271,7 @@ def _cmd_sheaf_multiplicity(args) -> dict:
 
 
 def _cmd_divide_tree(args) -> dict:
+    from .division import divide, root_interval
     theta = _parse_theta(args.theta)
     level = [root_interval(theta, _parse_fraction(args.far))]
     if _capped(args.depth) < 0:
@@ -287,12 +284,14 @@ def _cmd_divide_tree(args) -> dict:
 
 
 def _cmd_divide_points(args) -> list:
+    from .division import division_points
     theta = _parse_theta(args.theta)
     pts = division_points(theta, _parse_fraction(args.far), _capped(args.depth))
     return [{"m": x.m, "n": x.n, "value": x.value()} for x in pts]
 
 
 def _cmd_divide_beads(args) -> dict:
+    from .division import beads
     theta = _parse_theta(args.theta)
     return beads(
         theta,
@@ -303,6 +302,7 @@ def _cmd_divide_beads(args) -> dict:
 
 
 def _cmd_divide_ses(args) -> dict:
+    from .division import ses_check
     theta = _parse_theta(args.theta)
     return ses_check(
         theta,
@@ -314,6 +314,7 @@ def _cmd_divide_ses(args) -> dict:
 
 
 def _cmd_divide_rank(args) -> list:
+    from .division import approximate_rank
     theta = _parse_theta(args.theta)
     chain = approximate_rank(theta, _parse_fraction(args.far), args.target, args.tol)
     return [b.to_dict() for b in chain]
@@ -341,6 +342,7 @@ def _load_style(path: Optional[str]) -> dict:
 
 
 def _render_object(args, spec: RenderSpec):
+    from .farey import farey_diagram, farey_tree, roller_coaster
     if args.kind == "tessellation":
         if args.theta is not None and args.far is not None:
             spec.highlight = farey_diagram(
@@ -362,6 +364,7 @@ def _render_object(args, spec: RenderSpec):
 
 
 def _cmd_render_svg(args):
+    from .render import RenderSpec, render_svg
     spec = RenderSpec(
         model=args.model,
         depth=_capped(args.depth) if args.kind in ("tessellation", "tree") else args.depth,

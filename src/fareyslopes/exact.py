@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 
 _FRACTION_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
@@ -62,7 +61,10 @@ class ReducedFraction:
     def is_infinite(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The value as a ``fractions.Fraction``, imported here since nothing else needs it."""
+        from fractions import Fraction
+
         if self.is_infinite:
             raise ValueError("∞ has no finite value")
         return Fraction(self.p, self.q)

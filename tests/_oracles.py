@@ -142,7 +142,10 @@ def game_rest_positions(theta, r, c, d, n):
     """Independent bead construction: drop every level-n piece of the division
     tree into [c, d], then merge sibling pairs bottom-up until nothing moves.
     Level independence (same answer for every large enough n) is what makes
-    this a reference for the direct construction.
+    this a reference for the direct construction.  Merging siblings does not
+    depend on the order, so one left-to-right stack pass does it: a piece
+    merges with the one below it on the stack, and their parent may merge in
+    turn with the next one down.
 
     Unlike the rest of this module it replays the library's own `divide`,
     so it checks self-consistency of the tree, not the tree itself.
@@ -155,22 +158,20 @@ def game_rest_positions(theta, r, c, d, n):
         level = [child for iv in level for child in divide(iv)]
     occupied = [iv for iv in level if c <= iv.a and iv.b <= d]
     assert occupied and occupied[0].a == c and occupied[-1].b == d
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(occupied) - 1):
-            lo, hi = occupied[i], occupied[i + 1]
-            if lo.b != hi.a:
-                continue
+    stack = []
+    for hi in occupied:
+        while stack and stack[-1].b == hi.a:
+            lo = stack[-1]
             diff = hi.b - lo.a
             if not (diff.is_primitive() and diff.sign() > 0):
-                continue
-            parent = DivisionInterval(lo.a, norm_to_fraction(diff))
-            if divide(parent) == (lo, hi):
-                occupied[i : i + 2] = [parent]
-                merged = True
                 break
-    return tuple(iv.vertex for iv in occupied)
+            parent = DivisionInterval(lo.a, norm_to_fraction(diff))
+            if divide(parent) != (lo, hi):
+                break
+            stack.pop()
+            hi = parent
+        stack.append(hi)
+    return tuple(iv.vertex for iv in stack)
 
 
 def cutting_runs_descent(theta: IrrationalNumber, depth: int):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fareyslopes
-from fareyslopes.cfrac import EventuallyPeriodic
+from fareyslopes.cfrac import EventuallyPeriodic, semiconvergents
 from fareyslopes.cli import main
 from fareyslopes.division import beads, divide, division_points, root_interval, ses_check
 from fareyslopes.exact import ReducedFraction as F
@@ -78,6 +78,99 @@ def test_only_construct_imports_sympy(capsys):
         assert done.returncode == 0 and done.stderr == f"{loads_sympy}\n"
         code, out, _ = run(capsys, *argv)
         assert code == 0 and done.stdout == out
+
+
+# -- what a call loads ----------------------------------------------------------
+
+_SUBMODULES = ("errors", "exact", "cfrac", "lattice", "invariants", "farey", "sheaves", "division", "render")
+_LOADED = "sorted(m for m in sys.modules if m.startswith('fareyslopes.'))"
+
+
+def test_import_loads_no_submodule_until_first_use():
+    script = f"import sys, fareyslopes; print({_LOADED}); fareyslopes.IrrationalNumber; print({_LOADED})"
+    done = _fresh("-c", script)
+    assert done.returncode == 0 and done.stderr == ""
+    before, after = done.stdout.splitlines()
+    assert before == "[]"
+    assert after == str(sorted(f"fareyslopes.{m}" for m in _SUBMODULES))
+
+
+# the module each public name came from when the package imported them all eagerly
+_PUBLIC = {
+    "errors": "FareySlopesError MismatchedTheta NoPath NotDivisionPoint PrecisionExhausted "
+    "PrimePickerExhausted SeedRejected TolTooTight UnsupportedObject",
+    "exact": "INFINITY ZERO ReducedFraction",
+    "cfrac": "ConvergentTable EventuallyPeriodic FinitePrefix IrrationalNumber compare_theta_rational "
+    "convergents semiconvergent semiconvergents",
+    "lattice": "ThetaLatticeElement chi norm_to_fraction theta_norm",
+    "invariants": "CThetaReport LowerBoundOnly Stabilized bounded_quotients c_theta construct_special_theta "
+    "d_chain special_conditions_hold",
+    "farey": "CuttingSequence FareyDiagram FareyTree FareyTriangle RollerCoaster bottom cutting_sequence "
+    "farey_diagram farey_tree is_farey_geodesic left_right_vertices roller_coaster shortest_path_bundle "
+    "slope_lt theta_product",
+    "sheaves": "DimPair HomReport LimitObjectDescriptor SheafClass StableClass WitnessChain chi_pair "
+    "endo_dim_bound enumerate_minimal_triangles farey_type_image hom_classify hom_ext_dims "
+    "is_minimal_triangle kclass_colimit_check quotient_multiplicity witness_image_chain",
+    "division": "BeadObject DivisionInterval SESReport approximate_rank beads divide division_points "
+    "root_interval rotated_rank ses_check",
+    "render": "RenderSpec render_svg",
+}
+
+
+def test_public_names_keep_their_bindings():  # guard
+    pairs = [(module, name) for module, names in _PUBLIC.items() for name in names.split()]
+    assert fareyslopes.__all__ == [name for _, name in pairs]
+    for module, name in pairs:
+        assert getattr(fareyslopes, name) is getattr(getattr(fareyslopes, module), name), name
+    scope = {}
+    exec("from fareyslopes import *", scope)
+    assert sorted(scope.keys() - {"__builtins__"}) == sorted(fareyslopes.__all__)
+    assert all(scope[name] is getattr(fareyslopes, name) for name in fareyslopes.__all__)
+
+
+def test_submodules_resolve_as_attributes():  # guard
+    script = f"import sys, fareyslopes; print([getattr(fareyslopes, m).__name__ for m in {_SUBMODULES}])"
+    done = _fresh("-c", script)
+    assert done.returncode == 0 and done.stdout == f"{[f'fareyslopes.{m}' for m in _SUBMODULES]}\n"
+
+
+def test_unknown_name_raises_attribute_error():  # guard
+    # before and after the first use binds the public names
+    script = (
+        "import fareyslopes\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        "        fareyslopes.no_such_name\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n"
+        "    fareyslopes.ReducedFraction\n"
+    )
+    done = _fresh("-c", script)
+    assert done.returncode == 0 and done.stdout == "module 'fareyslopes' has no attribute 'no_such_name'\n" * 2
+
+
+_MAIN_THEN_HEAVY = (
+    "import sys, fareyslopes.cli as cli; code = cli.main(sys.argv[1:]); "
+    "print([m for m in ('fareyslopes.sheaves', 'fareyslopes.division', 'fractions') if m in sys.modules], "
+    "file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "convergents", "[1;(1)]", "-n", "6"],
+        ["farey", "diagram", "[1;(1)]", "1/0", "--depth", "6"],
+        ["render", "svg", "coaster", "--theta", "[1;(1)]", "--depth", "3", "--format", "json"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_light_commands_skip_sheaves_division_and_fractions(capsys, argv):
+    done = _fresh("-c", _MAIN_THEN_HEAVY, *argv)
+    assert done.returncode == 0 and done.stderr == "[]\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and done.stdout == out
 
 
 def test_bad_input_exits_two(capsys):
@@ -189,6 +282,28 @@ def test_outputs_that_double_per_level_cap_the_depth(capsys, argv):
 def test_depth_cap_admits_16(capsys):
     code, out, err = run(capsys, "render", "svg", "tessellation", "--depth", "16", "--format", "json")
     assert (code, out, err) == (0, "16\n", "")
+
+
+def test_semiconvergent_rows_are_capped(capsys):
+    code, out, err = run(capsys, "cf", "semiconvergents", "[0;(65537)]", "-n", "0")
+    assert (code, out) == (2, "") and "65537" in err
+    code, out, err = run(capsys, "cf", "semiconvergents", "[0;(65536)]", "-n", "0")
+    assert code == 0 and err == ""
+    row = json.loads(out)
+    assert len(row) == 65537 and row == [str(b) for b in semiconvergents(EventuallyPeriodic((0,), (65536,)), 0)]
+    # the library builds the row the CLI refuses
+    assert len(semiconvergents(EventuallyPeriodic((0,), (65537,)), 0)) == 65538
+
+
+def test_semiconvergent_errors_keep_their_bytes(capsys):  # guard
+    # the cap reads convergent i + 1 and quotient i + 2 after the index check,
+    # as the library does, so these messages are the library's
+    short = "error: quotient prefix too short (needed depth: 4): prefix of 3 quotients cannot answer depth 3\n"
+    assert run(capsys, "cf", "semiconvergents", "[0;1,2]", "-n", "1") == (3, "", short)
+    assert run(capsys, "cf", "semiconvergents", "[0;1,2]", "-n", "3") == (3, "", short)
+    assert run(capsys, "cf", "semiconvergents", "[0;1,2]", "-n", "-2") == (
+        2, "", "error: semiconvergent row starts at i = -1\n"
+    )
 
 
 def test_ctheta_and_construct(capsys):
