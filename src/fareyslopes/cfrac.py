@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PrecisionExhausted
 from .exact import ReducedFraction
@@ -46,8 +46,8 @@ def _minimal_period(period):
 
 
 class IrrationalNumber:
-    """Base class; use EventuallyPeriodic or FinitePrefix.  Each instance keeps
-    its own memo of convergents, splits and division trees, freed with it."""
+    """Base class; use EventuallyPeriodic or FinitePrefix.  Each instance keeps its own memo of
+    convergents, splits and division trees; these point back to it, so only the cyclic GC frees them."""
 
     def quotient(self, i: int) -> int:
         raise NotImplementedError
@@ -377,7 +377,7 @@ class ConvergentTable:
     """Rows (i, β_i, a_i) for i = −1..n; a₋₁ is reported as None."""
 
     theta: IrrationalNumber
-    rows: list = field(default_factory=list)
+    rows: list
 
     def fractions(self):
         return [beta for (_, beta, _) in self.rows]

@@ -119,6 +119,11 @@ class _DivisionTree:
     per label.  ``beads``: a pair of addresses -> (object, K-class,
     phase_sub_ok, phase_quot_ok).  ``window_ok`` records that r passed the
     slope-window check.
+
+    Threads share a tree without a lock, as each entry is stored after those
+    it needs: the root's ends are indexed before the root, and a split's
+    pieces, the tested left one last, before the midpoint's index entry (a
+    reader that misses that entry finds the midpoint by descent).
     """
 
     def __init__(self, theta: IrrationalNumber, r: ReducedFraction):
@@ -130,7 +135,7 @@ class _DivisionTree:
         if (0, 0) not in self.nodes:
             root = root_interval(self.theta, self.r)
             end = root.b  # a FinitePrefix that cannot decide |r|_theta raises here
-            self.nodes[0, 0], self.index[0, 0], self.index[end.m, end.n] = root, (0, 0), (0, 1)
+            self.index[0, 0], self.index[end.m, end.n], self.nodes[0, 0] = (0, 0), (0, 1), root
         return self.nodes[0, 0]
 
     def require_window(self) -> None:
@@ -143,34 +148,32 @@ class _DivisionTree:
         """The two halves of piece (level, k), split on first use."""
         nodes, left, right = self.nodes, (level + 1, 2 * k), (level + 1, 2 * k + 1)
         if left not in nodes:
-            nodes[left], nodes[right] = divide(nodes[level, k])
-            mid = nodes[right].a
-            self.index[mid.m, mid.n] = right
+            lo, hi = divide(nodes[level, k])
+            nodes[right], nodes[left], self.index[hi.a.m, hi.a.n] = hi, lo, right
         return nodes[left], nodes[right]
 
-    def address(self, x: ThetaLatticeElement, cap: int) -> Optional[Tuple[int, int]]:
-        """x's address if the tree has reached x, over theta, within depth cap."""
+    def address(self, x: ThetaLatticeElement) -> Optional[Tuple[int, int]]:
+        """x's address if the tree has reached x, over theta."""
         theta = x.theta
-        addr = self.index.get((x.m, x.n)) if theta is self.theta or theta == self.theta else None
-        return addr if addr and addr[0] <= cap else None
+        return self.index.get((x.m, x.n)) if theta is self.theta or theta == self.theta else None
 
-    def locate(self, x: ThetaLatticeElement, cap: int) -> Tuple[int, int]:
+    def locate(self, x: ThetaLatticeElement) -> Tuple[int, int]:
         """x's address, or NotDivisionPoint; a miss descends by exact
         comparisons and splits the pieces it passes."""
         root = self.root()
-        addr = self.address(x, max(cap, 0))  # the root's ends need no depth
+        addr = self.address(x)
         if addr is not None:
             return addr
         if not (root.a < x < root.b):
             raise NotDivisionPoint(f"{x!r} lies outside the root interval")
         level = k = 0
-        for _ in range(cap):
+        for _ in range(_DEPTH_CAP):
             mid = self.children(level, k)[1].a
             level, k = level + 1, 2 * k
             if x == mid:
                 return (level, k + 1)
             k += not x < mid
-        raise NotDivisionPoint(f"{x!r} is not a division point within depth {cap}")
+        raise NotDivisionPoint(f"{x!r} is not a division point within depth {_DEPTH_CAP}")
 
     def cover(self, c: Tuple[int, int], d: Tuple[int, int]) -> List[ReducedFraction]:
         """Labels of the maximal pieces inside [c, d], left to right: the
@@ -200,16 +203,16 @@ class _DivisionTree:
             summary = self.labels[v] = ((int(norm.m > 0), v), StableClass.from_fraction(v), (norm.m, norm.n))
         return summary
 
-    def bead(self, c: ThetaLatticeElement, d: ThetaLatticeElement, cap: int) -> tuple:
+    def bead(self, c: ThetaLatticeElement, d: ThetaLatticeElement) -> tuple:
         """The summary of the bead on [c, d], built on first use."""
-        ac, ad = self.address(c, cap), self.address(d, cap)
+        ac, ad = self.address(c), self.address(d)
         summary = self.beads.get((ac, ad))
         if summary:
             return summary
         self.require_window()
         if not (_before(ac, ad) if ac and ad else c < d):
             raise ValueError("need c < d")
-        key = (ac or self.locate(c, cap), ad or self.locate(d, cap))
+        key = (self.locate(c), self.locate(d))  # the root's ends are indexed before root() stores it
         labels = tuple(self.cover(*key))
         runs, phases, m, n = [], [], 0, 0
         for v, group in groupby(labels):
@@ -234,7 +237,7 @@ class _DivisionTree:
 
 
 def _tree(theta: IrrationalNumber, r: ReducedFraction) -> _DivisionTree:
-    """The one tree of (theta, r), kept on theta and freed with it."""
+    """The one tree of (theta, r), kept on theta."""
     tree = theta._trees.get(r)
     if tree is None:
         tree = theta._trees[r] = _DivisionTree(theta, r)
@@ -306,18 +309,17 @@ def beads(
     r: ReducedFraction,
     c: ThetaLatticeElement,
     d: ThetaLatticeElement,
-    cap: int = _DEPTH_CAP,
 ) -> BeadObject:
     """Play the bead game on [c, d] and return the resulting object.
 
-    c and d must be division points of the tree for r (NotDivisionPoint
-    otherwise, with a depth cap of ``cap``), with c < d, and r must satisfy
+    c and d must be division points of the tree for r within depth 64
+    (NotDivisionPoint otherwise), with c < d, and r must satisfy
     the slope window 0 < slope(r) - theta < 1.  Summands collect the rest
     positions left to right, shift 1 for labels below theta; the class and
     rotated rank are additive over the pieces by construction, which is
     checked, also under ``python -O``.  Each window's object is built once.
     """
-    return _tree(theta, r).bead(c, d, cap)[0]
+    return _tree(theta, r).bead(c, d)[0]
 
 
 # --------------------------------------------------------------------------
@@ -377,15 +379,14 @@ def ses_check(
     Each phase condition belongs to one bead, so its summary carries it.
     """
     tree = _tree(theta, r)
-    cap = _DEPTH_CAP
-    ac, ae, ad = tree.address(c, cap), tree.address(e, cap), tree.address(d, cap)
+    ac, ae, ad = tree.address(c), tree.address(e), tree.address(d)
     if not (ac and ae and ad and _before(ac, ae) and _before(ae, ad)):
         if not (c < e < d):
             raise ValueError("need c < e < d (strictly)")
     known = tree.beads
-    whole, wk, _, _ = known.get((ac, ad)) or tree.bead(c, d, cap)
-    sub, sk, phase_sub_ok, _ = known.get((ac, ae)) or tree.bead(c, e, cap)
-    quotient, qk, _, phase_quot_ok = known.get((ae, ad)) or tree.bead(e, d, cap)
+    whole, wk, _, _ = known.get((ac, ad)) or tree.bead(c, d)
+    sub, sk, phase_sub_ok, _ = known.get((ac, ae)) or tree.bead(c, e)
+    quotient, qk, _, phase_quot_ok = known.get((ae, ad)) or tree.bead(e, d)
     w, s, q = whole.rank_theta, sub.rank_theta, quotient.rank_theta
     class_additive = wk == (sk[0] + qk[0], sk[1] + qk[1])
     rank_additive = (w.m, w.n) == (s.m + q.m, s.n + q.n)
@@ -430,7 +431,13 @@ def approximate_rank(
     """
     tree = _tree(theta, r)
     tree.require_window()
-    target, tol = Fraction(target), Fraction(tol)
+    exact = []
+    for name, value in (("target", target), ("tol", tol)):
+        try:
+            exact.append(Fraction(value))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"{name} must be a finite rational, not {value!r}") from None
+    target, tol = exact
     if tol <= 0:
         raise ValueError("tol must be positive")
     root = tree.root()
@@ -447,7 +454,7 @@ def approximate_rank(
         mid = tree.children(level, k)[1].a
         level, k = level + 1, 2 * k
         if not above(mid, target):
-            chain.append(tree.bead(root.a, mid, _DEPTH_CAP)[0])
+            chain.append(tree.bead(root.a, mid)[0])
             if above(mid, target - tol):
                 return chain
             k += 1

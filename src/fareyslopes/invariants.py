@@ -253,14 +253,14 @@ def nextprime(n: int) -> int:
     return p
 
 
-def _default_prime_picker(forbidden: int, cap: int = 10**6) -> int:
-    """Smallest prime not dividing ``forbidden``."""
+def _fresh_prime(forbidden: int) -> int:
+    """Smallest prime not dividing ``forbidden``, searched up to 10**6."""
     p = 2
-    while p <= cap:
+    while p <= 10**6:
         if forbidden % p:
             return p
         p = nextprime(p)
-    raise PrimePickerExhausted(f"no fresh prime below {cap}")
+    raise PrimePickerExhausted(f"no fresh prime below {10**6}")
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -275,14 +275,14 @@ def construct_special_theta(
     a1: int,
     a2: int,
     depth: int,
-    prime_picker=None,
 ) -> FinitePrefix:
     """Quotient prefix a₀..a_{2·depth+2} making the d- and c-chains grow.
 
     Each constructed even quotient is rad(q_{2k})·x where x solves
       x ≡ −q_{2k+1}⁻¹ · (q_{2k}/rad(q_{2k}))  (mod P_fresh)
       x ≡ 1                                    (mod P) for every P | q_{2k}
-    with P_fresh the picked prime not dividing q_{2k}·q_{2k+1}.  Then every
+    with P_fresh the smallest prime not dividing q_{2k}·q_{2k+1} (searched
+    up to 10**6; PrimePickerExhausted past it).  Then every
     prime of q_{2k} divides a_{2k+2} exactly once and P_fresh | q_{2k+2},
     so gcd(q_{2k+2·j}-chains gain one new prime per step.  Odd quotients are
     1 (any positive value works).
@@ -295,8 +295,6 @@ def construct_special_theta(
         raise SeedRejected(f"a2 = {a2} is not squarefree")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if prime_picker is None:
-        prime_picker = _default_prime_picker
 
     quotients = [a0, a1, a2]
     q_prev, q_cur = a1, a2 * a1 + 1  # q_1, q_2
@@ -306,9 +304,7 @@ def construct_special_theta(
         fac = factorint(q_cur)
         rad = math.prod(fac)
         cof = q_cur // rad
-        fresh = prime_picker(q_cur * q_odd)
-        if not isprime(fresh) or q_cur * q_odd % fresh == 0:
-            raise PrimePickerExhausted(f"picker returned unusable value {fresh}")
+        fresh = _fresh_prime(q_cur * q_odd)
         target = (-pow(q_odd, -1, fresh) * cof) % fresh
         x = _crt_pair(1, rad, target, fresh) if rad > 1 else (target or fresh)
         a_even = rad * x

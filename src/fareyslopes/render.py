@@ -133,13 +133,13 @@ def _svg_document(body: List[str], size_px: int, viewbox: str) -> str:
 # tessellation and diagrams
 
 
-def _tessellation_edges(depth: int, lo: int = -2, hi: int = 3):
-    """Fence of ideal triangles (k, k+1, 1/0) plus depth-1 mediant levels."""
+def _tessellation_edges(depth: int):
+    """Fence of ideal triangles (k, k+1, 1/0) for k = -2..2, plus depth-1 mediant levels."""
     edges = []
     inf = ReducedFraction(1, 0)
-    for k in range(lo, hi + 1):
+    for k in range(-2, 4):
         edges.append((ReducedFraction(k, 1), inf))
-    for k in range(lo, hi):
+    for k in range(-2, 3):
         edges.append((ReducedFraction(k, 1), ReducedFraction(k + 1, 1)))
 
     def subdivide(a: ReducedFraction, b: ReducedFraction, levels: int):
@@ -151,7 +151,7 @@ def _tessellation_edges(depth: int, lo: int = -2, hi: int = 3):
         subdivide(a, m, levels - 1)
         subdivide(m, b, levels - 1)
 
-    for k in range(lo, hi):
+    for k in range(-2, 3):
         subdivide(ReducedFraction(k, 1), ReducedFraction(k + 1, 1), depth - 1)
     return edges
 
@@ -339,11 +339,9 @@ def _render_coaster(spec: RenderSpec, rc: RollerCoaster) -> str:
 
 def render_svg(
     spec: RenderSpec,
-    obj: Union[int, FareyDiagram, FareyTree, RollerCoaster, None] = None,
+    obj: Union[int, FareyDiagram, FareyTree, RollerCoaster],
 ) -> str:
     """Render a tessellation depth, diagram, tree, or coaster to SVG text."""
-    if obj is None:
-        obj = spec.depth
     if isinstance(obj, bool):
         raise UnsupportedObject("cannot render a boolean")
     if isinstance(obj, int):

@@ -56,6 +56,7 @@ PLUS = "plus"
 MINUS = "minus"
 
 _ZERO = "Zero"
+_WITNESS_DEPTH = 4096  # the deepest diagram witness_image_chain searches
 FINITE_DIVISION_ALGEBRA_BOUND = "FiniteDivisionAlgebraBound"
 SES_WITH_C_QUOTIENT = "SESWithCQuotient"
 UNKNOWN = "Unknown"
@@ -803,7 +804,6 @@ def witness_image_chain(
     theta: IrrationalNumber,
     theta_prime: IrrationalNumber,
     r: ReducedFraction,
-    max_depth: int = 4096,
 ) -> WitnessChain:
     """Explicit chain showing a map between the limit objects through O(r).
 
@@ -820,7 +820,7 @@ def witness_image_chain(
     between stable classes carries its kernel or cokernel class with
     multiplicity.  The outer arrows to and from the limit objects carry no
     class (those complements have infinite rank).  The diagram depth doubles
-    from 8 while no level qualifies; past ``max_depth`` the search raises
+    from 8 while no level qualifies; past depth 4096 the search raises
     TolTooTight.
     """
     if not slope_lt(theta, theta_prime):
@@ -842,11 +842,8 @@ def witness_image_chain(
                 level, lo, hi = found
                 break
         depth *= 2
-        if depth > max_depth:
-            raise TolTooTight(
-                f"no witness level within diagram depth {max_depth}; "
-                "raise max_depth"
-            )
+        if depth > _WITNESS_DEPTH:
+            raise TolTooTight(f"no witness level within diagram depth {_WITNESS_DEPTH}")
 
     src = LimitObjectDescriptor(theta, PLUS)
     dst = LimitObjectDescriptor(theta_prime, MINUS)

@@ -173,12 +173,31 @@ def test_light_commands_skip_sheaves_division_and_fractions(capsys, argv):
     assert code == 0 and done.stdout == out
 
 
+# malformed calls, at least one per group: (exit code, argv)
+_BAD_INPUT = [
+    (2, "cf convergents '[1;x]'"),
+    (2, "cf construct --seed 1,1,4 --depth 2"),
+    (2, "cf semiconvergents '[1;(1)]' -n -2"),
+    (2, "farey bottom '[1;(1)]' garbage"),
+    (2, "farey tree '[1;(1)]' 2/1 --depth 17"),
+    (2, "sheaf hom 2/4 1/1"),
+    (2, "divide rank '[1;(1)]' 2/1 1/0 1/10"),  # a zero denominator once escaped as ZeroDivisionError
+    (2, "divide rank '[1;(1)]' 2/1 1/5 inf"),
+    (2, "divide beads '[1;(1)]' 2/1 '(0,0)' '(2,-3)'"),
+    (2, "divide ses '[1;(1)]' 2/1 '(0,0)' '(0,0)' '(-3,5)'"),
+    (2, "render svg tessellation --depth 0"),
+    (2, "render svg diagram"),
+    (3, "render svg coaster --theta '[1;1,1]' --depth 6"),
+    (3, "divide points '[1;1]' 2/1 --depth 3"),
+]
+
+
 def test_bad_input_exits_two(capsys):
-    code, out, err = run(capsys, "sheaf", "hom", "2/4", "1/1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
-    code, _, err = run(capsys, "farey", "bottom", "[1;(1)]", "garbage")
-    assert code == 2 and "error:" in err
+    # main turns every one into an exit code and one error line, nothing on stdout
+    for want, argv in _BAD_INPUT:
+        code, out, err = run(capsys, *shlex.split(argv))
+        assert (code, out) == (want, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_precision_exhausted_exits_three(capsys):

@@ -5,6 +5,8 @@ import itertools
 import math
 import pickle
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fareyslopes import division
 from fareyslopes.cfrac import GREATER, EventuallyPeriodic, FinitePrefix, compare_theta_rational
 from fareyslopes.division import (
+    _DEPTH_CAP,
     DivisionInterval,
     _require_window,
     approximate_rank,
@@ -237,8 +240,8 @@ def test_window_and_point_errors():
             beads(golden, bad, p0, p1)
     with pytest.raises(NotDivisionPoint, match="outside"):
         beads(golden, F(2, 1), p0, ThetaLatticeElement(1, 0, golden))
-    with pytest.raises(NotDivisionPoint, match="within depth"):
-        beads(golden, F(2, 1), p0, ThetaLatticeElement(2, -3, golden), cap=6)
+    with pytest.raises(NotDivisionPoint, match="within depth 64"):
+        beads(golden, F(2, 1), p0, ThetaLatticeElement(2, -3, golden))
     with pytest.raises(ValueError):
         ses_check(golden, F(2, 1), p0, p0, p4)
 
@@ -256,6 +259,11 @@ def test_approximate_rank():
         approximate_rank(golden, F(2, 1), 0.5, 1e-4)
     with pytest.raises(ValueError):
         approximate_rank(golden, F(2, 1), 0.2, -1.0)
+    # Fraction raises OverflowError and ZeroDivisionError on these
+    with pytest.raises(ValueError, match="^target must be a finite rational, not inf$"):
+        approximate_rank(golden, F(2, 1), float("inf"), 1e-4)
+    with pytest.raises(ValueError, match="^tol must be a finite rational, not '1/0'$"):
+        approximate_rank(golden, F(2, 1), 0.2, "1/0")
     with pytest.raises(TolTooTight):
         approximate_rank(golden, F(2, 1), 0.2, 1e-30)
 
@@ -294,7 +302,7 @@ _RAISES = [
     (lambda: beads(golden, F(3, 1), p0, p1), ValueError, "need slope(r) - theta < 1"),
     (lambda: beads(golden, F(8, 5), p0, p1), ValueError, "need slope(r) > theta"),
     (lambda: beads(golden, F(2, 1), p0, _OUT), NotDivisionPoint, "ThetaLatticeElement(1, 0) lies outside the root interval"),
-    (lambda: beads(golden, F(2, 1), p0, _X, cap=6), NotDivisionPoint, "ThetaLatticeElement(2, -3) is not a division point within depth 6"),
+    (lambda: beads(golden, F(2, 1), p0, _X), NotDivisionPoint, "ThetaLatticeElement(2, -3) is not a division point within depth 64"),
     (lambda: beads(golden, F(2, 1), p1, p1), ValueError, "need c < d"),
     (lambda: beads(golden, F(2, 1), p3, p1), ValueError, "need c < d"),
     (lambda: beads(golden, F(2, 1), p4, _X), ValueError, "need c < d"),
@@ -326,16 +334,6 @@ def test_errors_do_not_depend_on_what_the_tree_holds():
             division_points(theta, r, 6)
 
 
-def test_depth_cap_holds_for_points_already_located():
-    deep = division_points(golden, F(2, 1), 5)[1]  # odd index: depth exactly 5
-    assert beads(golden, F(2, 1), p0, deep).labels  # located with the default cap
-    assert beads(golden, F(2, 1), p0, deep, cap=5).labels
-    for cap in (3, 4):
-        with pytest.raises(NotDivisionPoint, match=f"is not a division point within depth {cap}$"):
-            beads(golden, F(2, 1), p0, deep, cap=cap)
-    assert beads(golden, F(2, 1), p0, p4, cap=0).labels == (F(2, 1),)
-
-
 def _outcome(fn):
     try:
         return ("ok", fn())
@@ -345,14 +343,14 @@ def _outcome(fn):
         return (type(exc).__name__, str(exc))
 
 
-def _beads_by_comparison(theta, r, c, d, cap):
+def _beads_by_comparison(theta, r, c, d):
     _require_window(theta, r)
     if not c < d:
         raise ValueError("need c < d")
     root = root_interval(theta, r)
-    locate_descent(root, c, cap)
-    locate_descent(root, d, cap)
-    return tuple(cover_recursive(root, c, d, cap))
+    locate_descent(root, c, _DEPTH_CAP)
+    locate_descent(root, d, _DEPTH_CAP)
+    return tuple(cover_recursive(root, c, d, _DEPTH_CAP))
 
 
 _QUOTIENT = st.one_of(st.integers(1, 9), st.integers(1, 10**4))
@@ -386,9 +384,8 @@ def test_tree_matches_comparison_oracles(slope, depth, warm, data):
     for _ in range(8):
         i, j = sorted(data.draw(pairs))
         c, d = (probes[i], probes[j]) if data.draw(st.integers(0, 5)) else (probes[j], probes[i])
-        cap = data.draw(st.one_of(st.just(depth), st.integers(0, depth)))
-        got = _outcome(lambda: beads(theta, r, c, d, cap).labels)
-        assert got == _outcome(lambda: _beads_by_comparison(theta, r, c, d, cap))
+        got = _outcome(lambda: beads(theta, r, c, d).labels)
+        assert got == _outcome(lambda: _beads_by_comparison(theta, r, c, d))
     assert _outcome(lambda: division_points(theta, r, depth)) == want
 
 
@@ -420,6 +417,51 @@ def _fill(theta):
     for i in range(0, 240, 16):
         assert ses_check(theta, F(2, 1), pts[i], pts[i + 5], pts[i + 16]).passed
     assert beads(theta, F(2, 1), pts[0], pts[-1]).labels == (F(2, 1),)
+
+
+def _tree_calls(theta, points):
+    """Bead windows, SES checks and the depth-6 points of one slope's tree,
+    over points given as (m, n): a list of zero-argument calls."""
+    pts = [_P(m, n, theta) for m, n in points]
+    windows = [(0, 64), (1, 63), (5, 40), (17, 18), (33, 47)]
+    calls = [lambda i=i, j=j: beads(theta, F(2, 1), pts[i], pts[j]).to_dict() for i, j in windows]
+    calls += [lambda i=i: ses_check(theta, F(2, 1), pts[i], pts[i + 3], pts[i + 9]).to_dict() for i in range(0, 55, 6)]
+    calls.append(lambda: [(x.m, x.n) for x in division_points(theta, F(2, 1), 6)])
+    return calls
+
+
+def test_threads_sharing_a_tree_agree_with_one_thread():
+    # four threads grow a fresh slope's tree from different calls at once;
+    # each tree entry is stored after the ones it needs, so no thread meets a
+    # half-stored split and every answer matches a lone run's
+    points = [(x.m, x.n) for x in division_points(golden, F(2, 1), 6)]
+    want = [call() for call in _tree_calls(EventuallyPeriodic((1,), (1,)), points)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls = _tree_calls(EventuallyPeriodic((1,), (1,)), points)
+            barrier = threading.Barrier(4)
+            got = [{} for _ in range(4)]
+
+            def run(t):
+                barrier.wait()
+                for n in range(len(calls)):  # thread t starts at a different call
+                    i = (n + 4 * t) % len(calls)
+                    try:
+                        got[t][i] = calls[i]()
+                    except Exception as exc:  # recorded, so the assert below shows it
+                        got[t][i] = exc
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for answers in got:
+                assert [answers[i] for i in range(len(calls))] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_slope_state_is_freed_with_the_slope():

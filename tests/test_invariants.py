@@ -1,6 +1,8 @@
 import ast
 import inspect
+import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -314,6 +316,21 @@ def test_conditions_reject_tampering():
     qs = list(theta.quotients)
     qs[4] += 1  # break condition (1) at the first constructed index
     assert not special_conditions_hold(FinitePrefix(qs))
+
+
+def _smallest_prime_not_dividing(n):
+    p = 2
+    while n % p == 0 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def test_fresh_prime_matches_brute_force():
+    # the constructor's fresh prime: the smallest prime not dividing q_{2k}*q_{2k+1}
+    primorials = list(itertools.accumulate((2, 3, 5, 7, 11, 13, 17, 19, 23, 29), operator.mul))
+    for n in [*range(1, 2001), *primorials]:
+        assert invariants._fresh_prime(n) == _smallest_prime_not_dividing(n), n
+    assert invariants._fresh_prime(primorials[-1]) == 31
 
 
 # -- factoring without sympy --------------------------------------------------

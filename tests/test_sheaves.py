@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fareyslopes import sheaves
 from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
 from fareyslopes.errors import TolTooTight
 from fareyslopes.exact import INFINITY, ReducedFraction as F
@@ -319,10 +320,12 @@ def test_witness_image_chain():
         witness_image_chain(sqrt2, golden, F(7, 5))  # not between the slopes
 
 
-def test_witness_depth_cap_raises_tol_too_tight():
+def test_witness_depth_cap_raises_tol_too_tight(monkeypatch):
     # 3363/2378 is a convergent of sqrt 2: its witness needs diagram depth 32
-    with pytest.raises(TolTooTight):
-        witness_image_chain(sqrt2, golden, F(3363, 2378), max_depth=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(sheaves, "_WITNESS_DEPTH", 8)
+        with pytest.raises(TolTooTight, match="^no witness level within diagram depth 8$"):
+            witness_image_chain(sqrt2, golden, F(3363, 2378))
     assert witness_image_chain(sqrt2, golden, F(3363, 2378)).level == 9
 
 
