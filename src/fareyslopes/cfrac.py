@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from .errors import PrecisionExhausted
-from .exact import ReducedFraction
+from .exact import MutableValue, ReducedFraction
 
 _CF_RE = re.compile(
     r"^\s*\[\s*(-?\d+)\s*(?:;\s*(.*?))?\s*\]\s*$"
@@ -372,12 +371,13 @@ def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
 # -- convergent and semiconvergent tables -----------------------------------
 
 
-@dataclass
-class ConvergentTable:
+class ConvergentTable(MutableValue):
     """Rows (i, β_i, a_i) for i = −1..n; a₋₁ is reported as None."""
 
-    theta: IrrationalNumber
-    rows: list
+    __slots__ = ("theta", "rows")
+
+    def __init__(self, theta: IrrationalNumber, rows: list):
+        self._init(theta, rows)
 
     def fractions(self):
         return [beta for (_, beta, _) in self.rows]

@@ -7,15 +7,18 @@ level (divide tree and points, farey tree, render svg tree and tessellation)
 take a --depth of at most 16; `divide points` then prints 65 537 points (5 MB),
 and `cf semiconvergents` prints no row longer than that.
 
-This module imports only what the cf group uses (errors, exact, cfrac,
-invariants); every other handler imports its modules when it runs: farey
-for the farey group, farey and render for render, sheaves (which loads
-farey) for sheaf, and division (which loads all but render) for divide.
+This module imports only what cf convergents and semiconvergents use
+(errors, exact, cfrac); invariants runs on first use, in cf ctheta, dchain
+and construct.  Every other handler imports its modules when it runs: farey
+for the farey group, farey and render for render, sheaves for sheaf (which
+loads farey or invariants only for some commands on limit objects), and
+division (which loads all but render and invariants) for divide.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
@@ -23,14 +26,27 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 from .cfrac import IrrationalNumber, convergents, semiconvergents
 from .errors import FareySlopesError, PrecisionExhausted
 from .exact import ReducedFraction
-from .invariants import (
-    LowerBoundOnly,
-    Stabilized,
-    c_theta,
-    construct_special_theta,
-    d_chain,
-    special_conditions_hold,
-)
+
+
+def _deferred(name: str):
+    """Submodule `name`, in sys.modules at once but run on first attribute use.
+
+    Only three cf commands use invariants, which loads ``dataclasses``; a
+    traced CLI call (bench/clitrace.py) patches invariants' names as soon as
+    this module is imported, so the module must be there to patch.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+invariants = _deferred("invariants")
 
 if TYPE_CHECKING:  # the handlers import these, so a subcommand loads only its modules
     from .lattice import ThetaLatticeElement
@@ -102,9 +118,9 @@ def _parse_point(text: str, theta: IrrationalNumber) -> ThetaLatticeElement:
 
 
 def _status_dict(status) -> dict:
-    if isinstance(status, Stabilized):
+    if isinstance(status, invariants.Stabilized):
         return {"kind": "stabilized", "c": status.c}
-    if isinstance(status, LowerBoundOnly):
+    if isinstance(status, invariants.LowerBoundOnly):
         return {"kind": "lower_bound_only", "last": status.last}
     return {"kind": type(status).__name__.lower()}
 
@@ -130,7 +146,7 @@ def _cmd_cf_semiconvergents(args) -> list:
 
 
 def _cmd_cf_ctheta(args) -> dict:
-    report = c_theta(_parse_theta(args.theta), budget=args.budget)
+    report = invariants.c_theta(_parse_theta(args.theta), budget=args.budget)
     return {
         "theta": str(report.theta),
         "pairs": [[i, c] for (i, c) in report.c_values],
@@ -140,7 +156,7 @@ def _cmd_cf_ctheta(args) -> dict:
 
 
 def _cmd_cf_dchain(args) -> list:
-    return d_chain(_parse_theta(args.theta), args.n)
+    return invariants.d_chain(_parse_theta(args.theta), args.n)
 
 
 def _cmd_cf_construct(args) -> dict:
@@ -148,14 +164,14 @@ def _cmd_cf_construct(args) -> dict:
         a0, a1, a2 = (int(x) for x in args.seed.split(","))
     except ValueError:
         raise ValueError(f"--seed wants 'a0,a1,a2', got {args.seed!r}")
-    theta = construct_special_theta(a0, a1, a2, args.depth)
+    theta = invariants.construct_special_theta(a0, a1, a2, args.depth)
     steps = args.depth
     return {
         "theta": str(theta),
         "quotients": list(theta.quotients),
-        "conditions_hold": special_conditions_hold(theta),
-        "d_chain": d_chain(theta, steps + 1),
-        "c_chain": c_theta(theta, budget=theta.available_depth()).chain(),
+        "conditions_hold": invariants.special_conditions_hold(theta),
+        "d_chain": invariants.d_chain(theta, steps + 1),
+        "c_chain": invariants.c_theta(theta, budget=theta.available_depth()).chain(),
     }
 
 

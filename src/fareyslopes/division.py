@@ -20,6 +20,8 @@ addresses, and a bead is built from its labels' stored summaries.
 
 from __future__ import annotations
 
+# dataclasses, not exact.Value: callers copy these types with
+# dataclasses.replace and read them through dataclasses.fields
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -424,17 +426,18 @@ def approximate_rank(
     Walks the division tree toward the point at distance ``target`` from the
     left end, emitting E_[a, d_i] whenever a division point lands at or
     below the target; stops once the last one is within ``tol``.  Target and
-    tol are exact (anything ``Fraction`` takes), and x = m*theta + n lies at
-    or below p/q exactly when q*m*theta + q*n - p has sign <= 0.  Needs
-    0 < target < |r|_theta and the slope window 0 < slope(r) - theta < 1;
-    raises TolTooTight when 64 levels do not reach the tolerance.
+    tol are exact (a finite ``ReducedFraction``, or anything ``Fraction``
+    takes), and x = m*theta + n lies at or below p/q exactly when
+    q*m*theta + q*n - p has sign <= 0.  Needs 0 < target < |r|_theta and
+    the slope window 0 < slope(r) - theta < 1; raises TolTooTight when 64
+    levels do not reach the tolerance.
     """
     tree = _tree(theta, r)
     tree.require_window()
     exact = []
     for name, value in (("target", target), ("tol", tol)):
         try:
-            exact.append(Fraction(value))
+            exact.append(value.as_fraction() if isinstance(value, ReducedFraction) else Fraction(value))
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"{name} must be a finite rational, not {value!r}") from None
     target, tol = exact

@@ -5,28 +5,89 @@ upper half plane minus the origin: gcd(|p|, q) = 1, q ≥ 0, and the single
 point at infinity is 1/0.  The real-line order extends to ∞ by making it
 larger than every finite value; cross-multiplication p·q' < p'·q realises
 that order uniformly because ∞ contributes (1, 0).
+
+The library's value types (fractions, lattice points, triangles, the classes
+and reports of sheaves) are plain slotted classes on the ``Value`` base
+below rather than dataclasses: a class lists its fields in ``__slots__`` and
+sets each once in its own ``__init__``, and the base derives equality, hash,
+repr, pickling and frozen-ness from that list, so a CLI call that only builds
+such values never imports ``dataclasses`` and the dozen modules it pulls in
+(``inspect``, ``ast``, ``dis``, ...), nor generates code for each class.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 
 _FRACTION_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+))?\s*$")
+_set = object.__setattr__  # how an __init__ sets a field of a frozen value
+
+
+class Value:
+    """Base of the value types: the fields are the names in ``__slots__``.
+
+    As ``@dataclass(frozen=True)`` would: ``==`` holds between instances of one
+    class with equal fields (else NotImplemented), the hash is that of the
+    field tuple, the repr reads ``Name(field=value, ...)``, and assigning or
+    deleting an attribute raises ``dataclasses.FrozenInstanceError``.  Copies
+    and pickles rebuild through ``__init__``, whose parameters follow
+    ``__slots__``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, from an ``__init__``."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # only a failing call loads dataclasses
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class MutableValue(Value):
+    """A ``Value`` whose fields may be reassigned, and so is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class ReducedFraction:
+class ReducedFraction(Value):
     """A reduced fraction p/q with q ≥ 0; q = 0 encodes ∞ = 1/0."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int):
         if q == 0 and p == 0:
             raise ValueError("0/0 is not a point of the projective line")
         if q < 0:
@@ -36,8 +97,8 @@ class ReducedFraction:
         else:
             g = math.gcd(abs(p), q)
             p, q = p // g, q // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     # -- construction ------------------------------------------------
 
@@ -75,6 +136,15 @@ class ReducedFraction:
         return self.p / self.q
 
     # -- order (real line; ∞ greater than everything) ----------------
+
+    # the base's, unrolled: every walk, split and dict of fractions runs these
+    def __eq__(self, other):
+        if other.__class__ is not ReducedFraction:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     def __lt__(self, other: "ReducedFraction") -> bool:
         return self.p * other.q < other.p * self.q

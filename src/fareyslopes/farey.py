@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 from .cfrac import (
@@ -35,7 +34,7 @@ from .cfrac import (
     semiconvergents,
 )
 from .errors import NoPath
-from .exact import ReducedFraction
+from .exact import MutableValue, ReducedFraction, Value
 from .lattice import norm_to_fraction, theta_norm, ThetaLatticeElement
 
 Slope = Union[ReducedFraction, IrrationalNumber]
@@ -100,8 +99,7 @@ def _difference_vertex(u: ReducedFraction, v: ReducedFraction) -> ReducedFractio
     return ReducedFraction(u.p - v.p, u.q - v.q)  # the constructor normalizes the sign
 
 
-@dataclass(frozen=True)
-class FareyTriangle:
+class FareyTriangle(Value):
     """An ideal triangle of the Farey tessellation.
 
     Vertices are stored sorted by real-line position (infinity last); for
@@ -110,14 +108,13 @@ class FareyTriangle:
     n+1 = mediant(n/1, 1/0).
     """
 
-    vertices: tuple[ReducedFraction, ReducedFraction, ReducedFraction]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        vs = tuple(sorted(self.vertices))
-        object.__setattr__(self, "vertices", vs)
-        a, b, c = vs
+    def __init__(self, vertices: tuple[ReducedFraction, ReducedFraction, ReducedFraction]):
+        a, b, c = vs = tuple(sorted(vertices))
         if not (is_farey_geodesic(a, b) and is_farey_geodesic(b, c) and is_farey_geodesic(a, c)):
             raise ValueError(f"not a Farey triangle: {a}, {b}, {c}")
+        self._init(vs)
 
     def edges(self) -> tuple[tuple[ReducedFraction, ReducedFraction], ...]:
         a, b, c = self.vertices
@@ -291,8 +288,7 @@ def _leave(
 # Farey diagrams
 
 
-@dataclass
-class FareyDiagram:
+class FareyDiagram(MutableValue):
     """The fan of Farey triangles crossed by the geodesic (far end, theta).
 
     ``triangles`` is ordered away from the far end toward theta, each entry
@@ -304,11 +300,12 @@ class FareyDiagram:
     negatives away from theta.
     """
 
-    theta: Slope
-    far: Slope
-    triangles: list[tuple[FareyTriangle, TriangleType]]
-    left_labels: list[tuple[int, ReducedFraction]]
-    right_labels: list[tuple[int, ReducedFraction]]
+    __slots__ = ("theta", "far", "triangles", "left_labels", "right_labels")
+
+    def __init__(self, theta: Slope, far: Slope, triangles: list[tuple[FareyTriangle, TriangleType]],
+                 left_labels: list[tuple[int, ReducedFraction]],
+                 right_labels: list[tuple[int, ReducedFraction]]):
+        self._init(theta, far, triangles, left_labels, right_labels)
 
     def triangle_keys(self) -> set:
         return {t.key() for t, _ in self.triangles}
@@ -396,8 +393,7 @@ def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int)
 # cutting sequences
 
 
-@dataclass(frozen=True)
-class CuttingSequence:
+class CuttingSequence(Value):
     """Run-length-encoded letters of the cutting walk toward a slope.
 
     ``runs`` is a list of (letter, count) pairs with alternating letters.
@@ -407,8 +403,10 @@ class CuttingSequence:
     integer first (integer translation does not change the tail).
     """
 
-    theta: IrrationalNumber
-    runs: tuple[tuple[str, int], ...]
+    __slots__ = ("theta", "runs")
+
+    def __init__(self, theta: IrrationalNumber, runs: tuple[tuple[str, int], ...]):
+        self._init(theta, runs)
 
     def letters(self) -> str:
         return "".join(letter * count for letter, count in self.runs)
@@ -442,11 +440,11 @@ def cutting_sequence(theta: IrrationalNumber, depth: int) -> CuttingSequence:
 # the binary division tree
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    fraction: ReducedFraction
-    side: Optional[str]  # "l" / "r", None at the root
-    children: tuple = ()
+class TreeNode(Value):
+    __slots__ = ("fraction", "side", "children")
+
+    def __init__(self, fraction: ReducedFraction, side: Optional[str], children: tuple = ()):
+        self._init(fraction, side, children)  # side is "l" or "r", None at the root
 
     def leaves(self) -> list:
         if not self.children:
@@ -465,8 +463,7 @@ class TreeNode:
         return d
 
 
-@dataclass(frozen=True)
-class FareyTree:
+class FareyTree(Value):
     """Binary tree of repeated division vertices under a slope.
 
     Each node's children are its left/right division vertices one step
@@ -474,9 +471,10 @@ class FareyTree:
     to the root's norm in the theta-lattice.
     """
 
-    theta: IrrationalNumber
-    root: TreeNode
-    depth: int
+    __slots__ = ("theta", "root", "depth")
+
+    def __init__(self, theta: IrrationalNumber, root: TreeNode, depth: int):
+        self._init(theta, root, depth)
 
     def to_dict(self) -> dict:
         return {"theta": str(self.theta), "depth": self.depth, "root": self.root.to_dict()}
@@ -570,8 +568,7 @@ def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction
 # the roller coaster complex
 
 
-@dataclass
-class RollerCoaster:
+class RollerCoaster(MutableValue):
     """Semiconvergent fan families of a slope as a directed complex.
 
     Vertices are the semiconvergents beta_{i,m} (family i >= -1, step m)
@@ -584,13 +581,13 @@ class RollerCoaster:
     cross-apex edges are interior.
     """
 
-    theta: IrrationalNumber
-    depth: int
-    vertices: list[ReducedFraction]
-    family_index: dict  # vertex -> (family, step) of first appearance
-    triangles: list[FareyTriangle]
-    labels: dict  # (small, large) -> label fraction
-    classes: dict  # (small, large) -> "exterior" | "interior"
+    __slots__ = ("theta", "depth", "vertices", "family_index", "triangles", "labels", "classes")
+
+    def __init__(self, theta: IrrationalNumber, depth: int, vertices: list[ReducedFraction], family_index: dict,
+                 triangles: list[FareyTriangle], labels: dict, classes: dict):
+        # family_index: vertex -> (family, step) of first appearance; labels and
+        # classes: (small, large) -> label fraction, and "exterior" | "interior"
+        self._init(theta, depth, vertices, family_index, triangles, labels, classes)
 
     def edges(self) -> list[tuple[ReducedFraction, ReducedFraction]]:
         return list(self.labels)

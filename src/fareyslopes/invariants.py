@@ -17,6 +17,9 @@ fresh prime joins at every step — the Chinese-remainder recipe.
 from __future__ import annotations
 
 import math
+
+# dataclasses, not exact.Value: the benchmark's digests (bench/ops.py) read
+# CThetaReport and Stabilized through dataclasses.fields
 from dataclasses import dataclass, field
 
 from .cfrac import EventuallyPeriodic, FinitePrefix, IrrationalNumber

@@ -13,20 +13,21 @@ recovers the fraction determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cfrac import GREATER, IrrationalNumber, compare_theta_rational
 from .errors import MismatchedTheta
-from .exact import ReducedFraction
+from .exact import ReducedFraction, Value, _set
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaLatticeElement:
+class ThetaLatticeElement(Value):
     """The element m·θ + n of L_θ.  (0, 0) is allowed and has sign 0."""
 
-    m: int
-    n: int
-    theta: IrrationalNumber
+    __slots__ = ("m", "n", "theta")
+
+    def __init__(self, m: int, n: int, theta: IrrationalNumber):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "theta", theta)
 
     def _check(self, other: "ThetaLatticeElement") -> None:
         if self.theta is not other.theta and self.theta != other.theta:

@@ -10,13 +10,11 @@ machine interface elsewhere; floats live only here.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedObject
-from .exact import ReducedFraction
+from .exact import MutableValue, ReducedFraction
 from .farey import FareyDiagram, FareyTree, FareyTriangle, RollerCoaster, TreeNode
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -32,26 +30,22 @@ _DEFAULT_STYLE = {
 }
 
 
-@dataclass
-class RenderSpec:
+class RenderSpec(MutableValue):
     """What to draw and how big; ``style`` overrides the default palette."""
 
-    model: str = "disc"
-    depth: int = 1
-    highlight: Optional[FareyDiagram] = None
-    size_px: int = 600
-    style: dict = field(default_factory=dict)
+    __slots__ = ("model", "depth", "highlight", "size_px", "style")
 
-    def __post_init__(self):
-        if self.model not in ("disc", "upper_half"):
+    def __init__(self, model: str = "disc", depth: int = 1, highlight: Optional[FareyDiagram] = None,
+                 size_px: int = 600, style: Optional[dict] = None):
+        if model not in ("disc", "upper_half"):
             raise ValueError("model must be 'disc' or 'upper_half'")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.size_px < 64:
+        if size_px < 64:
             raise ValueError("size_px must be >= 64")
         merged = dict(_DEFAULT_STYLE)
-        merged.update(self.style)
-        self.style = merged
+        merged.update(style or {})
+        self._init(model, depth, highlight, size_px, merged)
 
 
 def _fmt(v: float) -> str:
@@ -347,7 +341,7 @@ def render_svg(
     if isinstance(obj, int):
         if obj < 1:
             raise ValueError("tessellation depth must be >= 1")
-        return _render_tessellation(dataclasses.replace(spec, depth=obj))
+        return _render_tessellation(RenderSpec(spec.model, obj, spec.highlight, spec.size_px, spec.style))
     if isinstance(obj, FareyDiagram):
         return _render_diagram(spec, obj)
     if isinstance(obj, FareyTree):

@@ -15,14 +15,11 @@ constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import TolTooTight
-from .exact import ReducedFraction
-from .farey import _slopes_equal, bottom, farey_diagram, slope_lt
-from .invariants import Stabilized, bounded_quotients, c_theta
+from .exact import ReducedFraction, Value
 
 __all__ = [
     "DimPair",
@@ -66,8 +63,7 @@ UNKNOWN = "Unknown"
 # characters
 
 
-@dataclass(frozen=True)
-class DimPair:
+class DimPair(Value):
     """Size of a hom or ext space, as the pair (dim, ht).
 
     ``dim`` counts copies of the ambient complete field, ``ht`` the extra
@@ -76,8 +72,10 @@ class DimPair:
     hom - ext1 and may not.
     """
 
-    dim: int
-    ht: int
+    __slots__ = ("dim", "ht")
+
+    def __init__(self, dim: int, ht: int):
+        self._init(dim, ht)
 
     def __add__(self, other: "DimPair") -> "DimPair":
         return DimPair(self.dim + other.dim, self.ht + other.ht)
@@ -98,8 +96,7 @@ class DimPair:
         return {"dim": self.dim, "ht": self.ht}
 
 
-@dataclass(frozen=True, slots=True)
-class StableClass:
+class StableClass(Value):
     """The character (degree, rank) of a stable object.
 
     rank >= 1 must be coprime to |degree| and gives a bundle of slope
@@ -107,20 +104,20 @@ class StableClass:
     points, whose slope is infinity (only degree 1 is primitive there).
     """
 
-    degree: int
-    rank: int
+    __slots__ = ("degree", "rank")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, degree: int, rank: int):
+        if rank < 0:
             raise ValueError("rank must be >= 0")
-        if self.rank == 0:
-            if self.degree < 1:
+        if rank == 0:
+            if degree < 1:
                 raise ValueError("torsion classes need degree >= 1")
-        elif math.gcd(abs(self.degree), self.rank) != 1:
+        elif math.gcd(abs(degree), rank) != 1:
             raise ValueError(
-                f"({self.degree}, {self.rank}) is not primitive: stable "
+                f"({degree}, {rank}) is not primitive: stable "
                 "bundle classes have coprime degree and rank"
             )
+        self._init(degree, rank)
 
     @classmethod
     def from_fraction(cls, slope: ReducedFraction) -> "StableClass":
@@ -151,8 +148,7 @@ def _det(u: Tuple[int, int], v: Tuple[int, int]) -> int:
     return u[0] * v[1] - v[0] * u[1]
 
 
-@dataclass(frozen=True, slots=True)
-class SheafClass:
+class SheafClass(Value):
     """Formal direct sum of shifted stable classes.
 
     Summands are (cls, shift, mult) with shift 0 or 1 and mult >= 1.  The
@@ -163,14 +159,15 @@ class SheafClass:
     sit at slope infinity, always on the shift-0 side).
     """
 
-    summands: Tuple[Tuple[StableClass, int, int], ...]
+    __slots__ = ("summands",)
 
-    def __post_init__(self):
-        for cls, shift, mult in self.summands:
+    def __init__(self, summands: Tuple[Tuple[StableClass, int, int], ...]):
+        for cls, shift, mult in summands:
             if shift not in (0, 1):
                 raise ValueError(f"shift must be 0 or 1, got {shift}")
             if mult < 1:
                 raise ValueError("summand multiplicities are >= 1")
+        self._init(summands)
 
     def kclass(self) -> Tuple[int, int]:
         d = r = 0
@@ -208,8 +205,7 @@ class SheafClass:
         }
 
 
-@dataclass(frozen=True)
-class LimitObjectDescriptor:
+class LimitObjectDescriptor(Value):
     """Address of an infinite-rank limit object at an irrational slope.
 
     side "minus" is the colimit of injections along the even-index
@@ -218,12 +214,12 @@ class LimitObjectDescriptor:
     falling to theta from above).  Its slope and side identify it.
     """
 
-    theta: IrrationalNumber
-    side: str
+    __slots__ = ("theta", "side")
 
-    def __post_init__(self):
-        if self.side not in (PLUS, MINUS):
-            raise ValueError(f"side must be {PLUS!r} or {MINUS!r}, got {self.side!r}")
+    def __init__(self, theta: IrrationalNumber, side: str):
+        if side not in (PLUS, MINUS):
+            raise ValueError(f"side must be {PLUS!r} or {MINUS!r}, got {side!r}")
+        self._init(theta, side)
 
     def __str__(self):
         return f"O({self.theta}{'+' if self.side == PLUS else '-'})"
@@ -344,16 +340,17 @@ def enumerate_minimal_triangles(
 # K-class bookkeeping for the minus-side colimit
 
 
-@dataclass(frozen=True)
-class KClassRow:
-    """One stage of the telescoping K-class identity."""
+class KClassRow(Value):
+    """One stage of the telescoping K-class identity: ``coefficient`` is the
+    quotient a_{2i+2}, ``summand`` the character of the odd convergent bundle,
+    ``partial`` the class accumulated after this stage and ``target`` the
+    character of the next even convergent bundle."""
 
-    index: int
-    coefficient: int  # quotient a_{2i+2}
-    summand: Tuple[int, int]  # character of the odd convergent bundle
-    partial: Tuple[int, int]  # accumulated class after this stage
-    target: Tuple[int, int]  # character of the next even convergent bundle
-    ok: bool
+    __slots__ = ("index", "coefficient", "summand", "partial", "target", "ok")
+
+    def __init__(self, index: int, coefficient: int, summand: Tuple[int, int], partial: Tuple[int, int],
+                 target: Tuple[int, int], ok: bool):
+        self._init(index, coefficient, summand, partial, target, ok)
 
     def to_dict(self) -> dict:
         return {
@@ -366,11 +363,11 @@ class KClassRow:
         }
 
 
-@dataclass(frozen=True)
-class KClassReport:
-    theta: IrrationalNumber
-    depth: int
-    rows: Tuple[KClassRow, ...]
+class KClassReport(Value):
+    __slots__ = ("theta", "depth", "rows")
+
+    def __init__(self, theta: IrrationalNumber, depth: int, rows: Tuple[KClassRow, ...]):
+        self._init(theta, depth, rows)
 
     @property
     def all_ok(self) -> bool:
@@ -411,8 +408,7 @@ def kclass_colimit_check(theta: IrrationalNumber, depth: int) -> KClassReport:
 # endomorphism bound for the minus-side colimit
 
 
-@dataclass(frozen=True)
-class EndoBoundReport:
+class EndoBoundReport(Value):
     """Dimension bound for endomorphisms of the minus-side colimit object.
 
     The dimension divides c(theta)^2 once the gcd chain stabilises; when
@@ -420,13 +416,13 @@ class EndoBoundReport:
     the possible dimensions to 1, 2 or 4.
     """
 
-    theta: IrrationalNumber
-    stabilized: bool
-    c: Optional[int]
-    chain: Tuple[int, ...]
-    bound: Optional[int]
-    bounded_by_two: Optional[bool]  # None: a finite prefix cannot certify
-    dim_candidates: Optional[Tuple[int, ...]]
+    __slots__ = ("theta", "stabilized", "c", "chain", "bound", "bounded_by_two", "dim_candidates")
+
+    def __init__(self, theta: IrrationalNumber, stabilized: bool, c: Optional[int], chain: Tuple[int, ...],
+                 bound: Optional[int], bounded_by_two: Optional[bool],
+                 dim_candidates: Optional[Tuple[int, ...]]):
+        # bounded_by_two is None when a finite prefix cannot certify it
+        self._init(theta, stabilized, c, chain, bound, bounded_by_two, dim_candidates)
 
     def to_dict(self) -> dict:
         return {
@@ -444,6 +440,7 @@ class EndoBoundReport:
 
 def _tail_bounded_by_two(theta: IrrationalNumber) -> Optional[bool]:
     """Are all partial quotients a_i (i >= 1) at most 2?  None = can't tell."""
+    from .invariants import bounded_quotients
     depth = theta.available_depth()
     if depth == 0:
         return None  # a bare a0 says nothing about the tail
@@ -461,6 +458,8 @@ def endo_dim_bound(desc: LimitObjectDescriptor, budget: int = 64) -> EndoBoundRe
     even-index convergent data; ``bound`` is that square when the chain
     certifiably stabilises, None when the evidence is a lower bound only.
     """
+    from .invariants import Stabilized, c_theta
+
     if desc.side != MINUS:
         raise ValueError("the endomorphism bound applies to the minus side only")
     report = c_theta(desc.theta, budget)
@@ -488,8 +487,7 @@ def endo_dim_bound(desc: LimitObjectDescriptor, budget: int = 64) -> EndoBoundRe
 # the vanishing rule table
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(Value):
     """Outcome of classifying Hom(source, target) by the slope rule table.
 
     ``verdict`` is one of Zero / FiniteDivisionAlgebraBound /
@@ -499,17 +497,16 @@ class HomReport:
     are stable classes.
     """
 
-    source: HomEnd
-    target: HomEnd
-    verdict: str
-    clause: Optional[str] = None
-    bound: Optional[int] = None
-    hom: Optional[DimPair] = None
-    ext1: Optional[DimPair] = None
-    ext1_zero: Optional[bool] = None
-    kernel_factors: Optional[Tuple[Tuple[int, int], ...]] = None
-    quotient: Optional[DimPair] = None
-    c_chain: Optional[Tuple[int, ...]] = None
+    __slots__ = ("source", "target", "verdict", "clause", "bound", "hom", "ext1", "ext1_zero",
+                 "kernel_factors", "quotient", "c_chain")
+
+    def __init__(self, source: HomEnd, target: HomEnd, verdict: str, clause: Optional[str] = None,
+                 bound: Optional[int] = None, hom: Optional[DimPair] = None, ext1: Optional[DimPair] = None,
+                 ext1_zero: Optional[bool] = None, kernel_factors: Optional[Tuple[Tuple[int, int], ...]] = None,
+                 quotient: Optional[DimPair] = None, c_chain: Optional[Tuple[int, ...]] = None):
+        self._init(
+            source, target, verdict, clause, bound, hom, ext1, ext1_zero, kernel_factors, quotient, c_chain
+        )
 
     def to_dict(self) -> dict:
         out = {
@@ -622,6 +619,9 @@ def _classify_minus_to_stable(x: LimitObjectDescriptor, y: StableClass) -> HomRe
 def _classify_minus_limit(
     x: LimitObjectDescriptor, y: LimitObjectDescriptor, depth: int, budget: int
 ) -> HomReport:
+    from .farey import _slopes_equal, slope_lt
+    from .invariants import Stabilized, c_theta
+
     # finite prefixes are never equal: slope_lt raises PrecisionExhausted
     if _slopes_equal(x.theta, y.theta) and y.side == MINUS:
         report = c_theta(x.theta, budget)
@@ -714,6 +714,8 @@ def farey_type_image(
     The image class is the minimal-denominator slope of the open interval
     (theta, theta_prime); refining the chain does not change it.
     """
+    from .farey import bottom, slope_lt
+
     points = [theta, *via, theta_prime]
     for a, b in zip(points, points[1:]):
         if not slope_lt(a, b):
@@ -721,14 +723,15 @@ def farey_type_image(
     return StableClass.from_fraction(bottom(theta, theta_prime))
 
 
-@dataclass(frozen=True)
-class ChainArrow:
+class ChainArrow(Value):
     """One arrow of a witness chain, with its kernel or cokernel class."""
 
-    source: HomEnd
-    target: HomEnd
-    kind: str  # "injection" | "surjection"
-    complement: Optional[Tuple[StableClass, int]] = None  # (class, multiplicity)
+    __slots__ = ("source", "target", "kind", "complement")
+
+    def __init__(self, source: HomEnd, target: HomEnd, kind: str,
+                 complement: Optional[Tuple[StableClass, int]] = None):
+        # kind is "injection" or "surjection"; complement is (class, multiplicity)
+        self._init(source, target, kind, complement)
 
     @property
     def complement_role(self) -> Optional[str]:
@@ -753,16 +756,14 @@ class ChainArrow:
         return out
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Value):
     """Five-node witness that O(r) is hit between the two limit objects."""
 
-    theta: IrrationalNumber
-    theta_prime: IrrationalNumber
-    r: ReducedFraction
-    level: int
-    nodes: Tuple[HomEnd, ...]
-    arrows: Tuple[ChainArrow, ...]
+    __slots__ = ("theta", "theta_prime", "r", "level", "nodes", "arrows")
+
+    def __init__(self, theta: IrrationalNumber, theta_prime: IrrationalNumber, r: ReducedFraction, level: int,
+                 nodes: Tuple[HomEnd, ...], arrows: Tuple[ChainArrow, ...]):
+        self._init(theta, theta_prime, r, level, nodes, arrows)
 
     def to_dict(self) -> dict:
         return {
@@ -823,6 +824,8 @@ def witness_image_chain(
     from 8 while no level qualifies; past depth 4096 the search raises
     TolTooTight.
     """
+    from .farey import bottom, farey_diagram, slope_lt
+
     if not slope_lt(theta, theta_prime):
         raise ValueError("need theta < theta_prime")
     if (

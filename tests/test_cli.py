@@ -151,7 +151,7 @@ def test_unknown_name_raises_attribute_error():  # guard
 
 _MAIN_THEN_HEAVY = (
     "import sys, fareyslopes.cli as cli; code = cli.main(sys.argv[1:]); "
-    "print([m for m in ('fareyslopes.sheaves', 'fareyslopes.division', 'fractions') if m in sys.modules], "
+    "print([m for m in ('fareyslopes.sheaves', 'fareyslopes.division', 'fractions', 'dataclasses') if m in sys.modules], "
     "file=sys.stderr); "
     "sys.exit(code)"
 )
@@ -169,6 +169,30 @@ _MAIN_THEN_HEAVY = (
 def test_light_commands_skip_sheaves_division_and_fractions(capsys, argv):
     done = _fresh("-c", _MAIN_THEN_HEAVY, *argv)
     assert done.returncode == 0 and done.stderr == "[]\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and done.stdout == out
+
+
+# a module counts once it has run: the CLI puts invariants in sys.modules on
+# import, for bench/tracer.py to patch, but runs it only on first use
+_MAIN_THEN_RUN = (
+    "import sys, fareyslopes.cli as cli; code = cli.main(sys.argv[1:]); "
+    "print([m for m in ('fareyslopes.farey', 'fareyslopes.invariants', 'fareyslopes.lattice', 'dataclasses') "
+    "if type(sys.modules.get(m)) is type(sys)], 'fareyslopes.invariants' in sys.modules, file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sheaf", "chi", "0/1", "3/1"], ["sheaf", "enumerate", "--max-rank", "3"], ["cf", "ctheta", "[1;(2)]"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_sheaf_chi_and_enumerate_skip_farey_invariants_and_dataclasses(capsys, argv):
+    # cf ctheta is the control: it runs invariants, which loads dataclasses
+    done = _fresh("-c", _MAIN_THEN_RUN, *argv)
+    ran = "['fareyslopes.invariants', 'dataclasses']" if argv[0] == "cf" else "[]"
+    assert done.returncode == 0 and done.stderr == f"{ran} True\n"
     code, out, _ = run(capsys, *argv)
     assert code == 0 and done.stdout == out
 

@@ -264,6 +264,11 @@ def test_approximate_rank():
         approximate_rank(golden, F(2, 1), float("inf"), 1e-4)
     with pytest.raises(ValueError, match="^tol must be a finite rational, not '1/0'$"):
         approximate_rank(golden, F(2, 1), 0.2, "1/0")
+    # the library's own fractions are exact values too, but 1/0 has no value
+    rank = approximate_rank(golden, F(2, 1), F(1, 5), F(1, 10**9))
+    assert rank == approximate_rank(golden, F(2, 1), Fraction(1, 5), Fraction(1, 10**9))
+    with pytest.raises(ValueError, match=r"^target must be a finite rational, not ReducedFraction\(1, 0\)$"):
+        approximate_rank(golden, F(2, 1), F(1, 0), 1e-4)
     with pytest.raises(TolTooTight):
         approximate_rank(golden, F(2, 1), 0.2, 1e-30)
 
@@ -406,7 +411,7 @@ def test_value_types_are_slotted(name):
     assert type(value).__name__ == name and not hasattr(value, "__dict__")
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value)
-    field = dataclasses.fields(value)[0].name
+    field = type(value).__slots__[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, getattr(value, field))
 

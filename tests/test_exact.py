@@ -1,9 +1,20 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from fareyslopes.cfrac import ConvergentTable, EventuallyPeriodic
 from fareyslopes.exact import INFINITY, ZERO, ReducedFraction as F
+from fareyslopes.farey import CuttingSequence, FareyDiagram, FareyTree, FareyTriangle, RollerCoaster, TreeNode
+from fareyslopes.lattice import ThetaLatticeElement
+from fareyslopes.render import RenderSpec
+from fareyslopes.sheaves import (
+    ChainArrow, DimPair, EndoBoundReport, HomReport, KClassReport, KClassRow, LimitObjectDescriptor, SheafClass,
+    StableClass, WitnessChain,
+)
 
 
 def test_normalisation():
@@ -87,3 +98,117 @@ def test_order_matches_float_order():
         assert (a < b) == (float(a) < float(b)) or float(a) == float(b)
         if a != b:
             assert (a < b) == (a.as_fraction() < b.as_fraction())
+
+
+# -- the value types on exact.Value ---------------------------------------------
+
+golden = EventuallyPeriodic((1,), (1,))
+_TRIANGLE = FareyTriangle(vertices=(F(1, 0), F(1, 1), F(2, 1)))
+_LEAF = TreeNode(fraction=F(5, 3), side="l")
+_STABLE = StableClass(degree=5, rank=3)
+_PLUS = LimitObjectDescriptor(theta=golden, side="plus")
+_ROW = KClassRow(index=0, coefficient=1, summand=(2, 1), partial=(3, 2), target=(3, 2), ok=True)
+_ARROW = ChainArrow(source=_STABLE, target=StableClass(2, 1), kind="surjection", complement=(StableClass(3, 2), 1))
+
+_G = "EventuallyPeriodic([1], [1])"
+_TRIANGLE_REPR = "FareyTriangle(vertices=(ReducedFraction(1, 1), ReducedFraction(2, 1), ReducedFraction(1, 0)))"
+_LEAF_REPR = "TreeNode(fraction=ReducedFraction(5, 3), side='l', children=())"
+_ROW_REPR = "KClassRow(index=0, coefficient=1, summand=(2, 1), partial=(3, 2), target=(3, 2), ok=True)"
+_ARROW_REPR = (
+    "ChainArrow(source=StableClass(degree=5, rank=3), target=StableClass(degree=2, rank=1), kind='surjection', "
+    "complement=(StableClass(degree=3, rank=2), 1))"
+)
+
+# one value of each type, and its repr from when the type was a dataclass
+_VALUES = {
+    "ReducedFraction": (F(p=8, q=5), "ReducedFraction(8, 5)"),
+    "ConvergentTable": (
+        ConvergentTable(theta=golden, rows=[(-1, F(1, 0), None)]),
+        f"ConvergentTable(theta={_G}, rows=[(-1, ReducedFraction(1, 0), None)])",
+    ),
+    "ThetaLatticeElement": (ThetaLatticeElement(m=2, n=-3, theta=golden), "ThetaLatticeElement(2, -3)"),
+    "FareyTriangle": (_TRIANGLE, _TRIANGLE_REPR),
+    "FareyDiagram": (
+        FareyDiagram(theta=golden, far=F(1, 0), triangles=[(_TRIANGLE, "Start")], left_labels=[(1, F(2, 1))],
+                     right_labels=[]),
+        f"FareyDiagram(theta={_G}, far=ReducedFraction(1, 0), triangles=[({_TRIANGLE_REPR}, 'Start')], "
+        "left_labels=[(1, ReducedFraction(2, 1))], right_labels=[])",
+    ),
+    "CuttingSequence": (
+        CuttingSequence(theta=golden, runs=(("L", 1),)), f"CuttingSequence(theta={_G}, runs=(('L', 1),))"
+    ),
+    "TreeNode": (_LEAF, _LEAF_REPR),
+    "FareyTree": (
+        FareyTree(theta=golden, root=TreeNode(F(2, 1), None, (_LEAF,)), depth=1),
+        f"FareyTree(theta={_G}, root=TreeNode(fraction=ReducedFraction(2, 1), side=None, children=({_LEAF_REPR},)), "
+        "depth=1)",
+    ),
+    "RollerCoaster": (
+        RollerCoaster(theta=golden, depth=1, vertices=[F(1, 0)], family_index={F(1, 0): (-1, 0)}, triangles=[],
+                      labels={}, classes={}),
+        f"RollerCoaster(theta={_G}, depth=1, vertices=[ReducedFraction(1, 0)], "
+        "family_index={ReducedFraction(1, 0): (-1, 0)}, triangles=[], labels={}, classes={})",
+    ),
+    "DimPair": (DimPair(dim=3, ht=1), "DimPair(dim=3, ht=1)"),
+    "StableClass": (_STABLE, "StableClass(degree=5, rank=3)"),
+    "SheafClass": (
+        SheafClass(summands=((_STABLE, 1, 2),)), "SheafClass(summands=((StableClass(degree=5, rank=3), 1, 2),))"
+    ),
+    "LimitObjectDescriptor": (_PLUS, f"LimitObjectDescriptor(theta={_G}, side='plus')"),
+    "KClassRow": (_ROW, _ROW_REPR),
+    "KClassReport": (
+        KClassReport(theta=golden, depth=1, rows=(_ROW,)), f"KClassReport(theta={_G}, depth=1, rows=({_ROW_REPR},))"
+    ),
+    "EndoBoundReport": (
+        EndoBoundReport(theta=golden, stabilized=True, c=1, chain=(1,), bound=1, bounded_by_two=True,
+                        dim_candidates=(1, 2, 4)),
+        f"EndoBoundReport(theta={_G}, stabilized=True, c=1, chain=(1,), bound=1, bounded_by_two=True, "
+        "dim_candidates=(1, 2, 4))",
+    ),
+    "HomReport": (
+        HomReport(source=_STABLE, target=_PLUS, verdict="Zero", ext1_zero=True),
+        f"HomReport(source=StableClass(degree=5, rank=3), target=LimitObjectDescriptor(theta={_G}, side='plus'), "
+        "verdict='Zero', clause=None, bound=None, hom=None, ext1=None, ext1_zero=True, kernel_factors=None, "
+        "quotient=None, c_chain=None)",
+    ),
+    "ChainArrow": (_ARROW, _ARROW_REPR),
+    "WitnessChain": (
+        WitnessChain(theta=golden, theta_prime=golden, r=F(2, 1), level=1, nodes=(_STABLE,), arrows=(_ARROW,)),
+        f"WitnessChain(theta={_G}, theta_prime={_G}, r=ReducedFraction(2, 1), level=1, "
+        f"nodes=(StableClass(degree=5, rank=3),), arrows=({_ARROW_REPR},))",
+    ),
+    "RenderSpec": (
+        RenderSpec(model="upper_half", depth=2, highlight=None, size_px=64, style={"stroke": "#000000"}),
+        "RenderSpec(model='upper_half', depth=2, highlight=None, size_px=64, style={'stroke': '#000000', "
+        "'stroke_width': 0.008, 'boundary': '#888888', 'highlight_fill': '#f2a65e', 'highlight_opacity': 0.55, "
+        "'accent': '#b03a48', 'background': '#ffffff'})",
+    ),
+}
+_MUTABLE = {"ConvergentTable", "FareyDiagram", "RollerCoaster", "RenderSpec"}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_type_contract(name):
+    value, text = _VALUES[name]
+    cls = type(value)
+    assert cls.__name__ == name and not hasattr(value, "__dict__")
+    assert repr(value) == text
+    fields = tuple(getattr(value, field) for field in cls.__slots__)
+    assert cls(**dict(zip(cls.__slots__, fields))) == value
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+    assert value != fields
+    field = cls.__slots__[0]
+    if name in _MUTABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        twin = copy.copy(value)
+        setattr(twin, field, getattr(value, field))
+        assert twin == value
+        return
+    # a lattice element's own hash leaves its slope out
+    assert hash(value) == hash(fields[:2] if name == "ThetaLatticeElement" else fields)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+        delattr(value, field)

@@ -227,6 +227,24 @@ def test_src_has_no_functools_caches():
     assert found == []
 
 
+def _imports_dataclasses(stmt) -> bool:
+    if isinstance(stmt, ast.Import):
+        return any(alias.name == "dataclasses" for alias in stmt.names)
+    return isinstance(stmt, ast.ImportFrom) and stmt.module == "dataclasses"
+
+
+def test_only_division_and_invariants_import_dataclasses():
+    # the other value types derive eq, hash and repr from exact.Value, so a
+    # CLI call that builds only them never pays for importing dataclasses
+    found = [
+        name for name, node in _src_nodes() if isinstance(node, ast.Module) and any(map(_imports_dataclasses, node.body))
+    ]
+    assert found == ["division.py", "invariants.py"], (
+        "only two modules keep dataclasses: tests call dataclasses.replace and fields on division's types, "
+        "and the benchmark digests read invariants' CThetaReport and Stabilized through dataclasses.fields"
+    )
+
+
 def test_src_has_no_unreferenced_private_names():
     # a module-level private function, class or constant that no code in
     # the library reads any more is left over from a change that moved on
