@@ -14,14 +14,15 @@ Every split cuts strictly inside its parent, so the endpoints are ordered
 like the dyadic rationals: piece (level, k) is [k/2**level, (k+1)/2**level]
 of the root.  For as long as it lives, theta keeps one tree per r, which
 keeps its pieces and endpoints by these addresses and summarises each label
-and each bead once, so covers and SES checks are integer arithmetic on
-addresses, and a bead is built from its labels' stored summaries.
+and each bead once (a bead by its endpoints), so covers are integer
+arithmetic on addresses, a bead is built from its labels' stored summaries,
+and an SES check on three stored beads is three dictionary probes.
 """
 
 from __future__ import annotations
 
-# dataclasses, not exact.Value: callers copy these types with
-# dataclasses.replace and read them through dataclasses.fields
+# DivisionInterval and BeadObject stay dataclasses, not exact.Value: callers
+# copy them with dataclasses.replace
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -29,7 +30,7 @@ from typing import List, Optional, Tuple, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import NotDivisionPoint, TolTooTight
-from .exact import ReducedFraction
+from .exact import ReducedFraction, Value, _setters
 from .farey import left_right_vertices
 from .lattice import ThetaLatticeElement, theta_norm
 from .sheaves import SheafClass, StableClass
@@ -103,7 +104,8 @@ def divide(iv: DivisionInterval) -> Tuple[DivisionInterval, DivisionInterval]:
     right child ends where the parent does.  |l1|_theta comes with the split.
     """
     l1, r1 = left_right_vertices(iv.theta, iv.vertex)
-    return DivisionInterval(iv.a, l1), DivisionInterval(iv.a + iv.theta._splits[iv.vertex][1], r1)
+    a, (m, n) = iv.a, iv.theta._splits[iv.vertex][1]
+    return DivisionInterval(a, l1), DivisionInterval(ThetaLatticeElement(a.m + m, a.n + n, a.theta), r1)
 
 
 def _before(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
@@ -118,14 +120,16 @@ class _DivisionTree:
     parent is split.  ``index``: endpoint (m, n) -> address in lowest terms;
     the midpoint of piece (level, k) is (level + 1, 2k + 1).  ``labels``: a
     label v -> (phase key, O(v), |v|_theta as (m, n)), one theta comparison
-    per label.  ``beads``: a pair of addresses -> (object, K-class,
-    phase_sub_ok, phase_quot_ok).  ``window_ok`` records that r passed the
-    slope-window check.
+    per label.  ``beads``: a window's endpoints (c.m, c.n, d.m, d.n) ->
+    (object, K-class, phase_sub_ok, phase_quot_ok), looked up only for
+    endpoints the index holds, so over theta.  ``window_ok`` records that r
+    passed the slope-window check.
 
     Threads share a tree without a lock, as each entry is stored after those
-    it needs: the root's ends are indexed before the root, and a split's
-    pieces, the tested left one last, before the midpoint's index entry (a
-    reader that misses that entry finds the midpoint by descent).
+    it needs: the root's ends are indexed before the root, a split's pieces,
+    the tested left one last, before the midpoint's index entry (a reader
+    that misses that entry finds the midpoint by descent), and a bead's
+    summary once it is fully built, so a stored bead on [c, d] proves c < d.
     """
 
     def __init__(self, theta: IrrationalNumber, r: ReducedFraction):
@@ -207,15 +211,15 @@ class _DivisionTree:
 
     def bead(self, c: ThetaLatticeElement, d: ThetaLatticeElement) -> tuple:
         """The summary of the bead on [c, d], built on first use."""
-        ac, ad = self.address(c), self.address(d)
-        summary = self.beads.get((ac, ad))
+        ac, ad, key = self.address(c), self.address(d), (c.m, c.n, d.m, d.n)
+        summary = ac and ad and self.beads.get(key)
         if summary:
             return summary
         self.require_window()
         if not (_before(ac, ad) if ac and ad else c < d):
             raise ValueError("need c < d")
-        key = (self.locate(c), self.locate(d))  # the root's ends are indexed before root() stores it
-        labels = tuple(self.cover(*key))
+        # the root's ends are indexed before root() stores it
+        labels = tuple(self.cover(self.locate(c), self.locate(d)))
         runs, phases, m, n = [], [], 0, 0
         for v, group in groupby(labels):
             phase, cls, (vm, vn) = self.label(v)
@@ -328,8 +332,7 @@ def beads(
 # short exact sequences of bead objects
 
 
-@dataclass(frozen=True, slots=True)
-class SESReport:
+class SESReport(Value):
     """Outcome of checking 0 -> E[c,e] -> E[c,d] -> E[e,d] -> 0.
 
     ``class_additive`` and ``rank_additive`` are the exact additivity checks
@@ -339,13 +342,17 @@ class SESReport:
     the quotient piece's first summand dominates the rest.
     """
 
-    sub: BeadObject
-    whole: BeadObject
-    quotient: BeadObject
-    class_additive: bool
-    rank_additive: bool
-    phase_sub_ok: bool
-    phase_quot_ok: bool
+    __slots__ = ("sub", "whole", "quotient", "class_additive", "rank_additive", "phase_sub_ok", "phase_quot_ok")
+
+    def __init__(self, sub: BeadObject, whole: BeadObject, quotient: BeadObject, class_additive: bool,
+                 rank_additive: bool, phase_sub_ok: bool, phase_quot_ok: bool):
+        _set_sub(self, sub)
+        _set_whole(self, whole)
+        _set_quotient(self, quotient)
+        _set_class_additive(self, class_additive)
+        _set_rank_additive(self, rank_additive)
+        _set_phase_sub_ok(self, phase_sub_ok)
+        _set_phase_quot_ok(self, phase_quot_ok)
 
     @property
     def passed(self) -> bool:
@@ -369,6 +376,10 @@ class SESReport:
         }
 
 
+(_set_sub, _set_whole, _set_quotient, _set_class_additive, _set_rank_additive, _set_phase_sub_ok,
+ _set_phase_quot_ok) = _setters(SESReport)
+
+
 def ses_check(
     theta: IrrationalNumber,
     r: ReducedFraction,
@@ -379,16 +390,21 @@ def ses_check(
     """Verify the bead short exact sequence at the class/rank/phase level.
 
     Each phase condition belongs to one bead, so its summary carries it.
+    When the three points lie over theta itself and all three beads are
+    stored, the stored beads on [c, e] and [e, d] prove c < e < d.
     """
     tree = _tree(theta, r)
-    ac, ae, ad = tree.address(c), tree.address(e), tree.address(d)
-    if not (ac and ae and ad and _before(ac, ae) and _before(ae, ad)):
-        if not (c < e < d):
-            raise ValueError("need c < e < d (strictly)")
-    known = tree.beads
-    whole, wk, _, _ = known.get((ac, ad)) or tree.bead(c, d)
-    sub, sk, phase_sub_ok, _ = known.get((ac, ae)) or tree.bead(c, e)
-    quotient, qk, _, phase_quot_ok = known.get((ae, ad)) or tree.bead(e, d)
+    whole = sub = quot = None
+    if c.theta is theta and e.theta is theta and d.theta is theta:
+        known, cm, cn, em, en, dm, dn = tree.beads, c.m, c.n, e.m, e.n, d.m, d.n
+        whole, sub, quot = known.get((cm, cn, dm, dn)), known.get((cm, cn, em, en)), known.get((em, en, dm, dn))
+    if not (whole and sub and quot):
+        ac, ae, ad = tree.address(c), tree.address(e), tree.address(d)
+        if not (ac and ae and ad and _before(ac, ae) and _before(ae, ad)):
+            if not (c < e < d):
+                raise ValueError("need c < e < d (strictly)")
+        whole, sub, quot = tree.bead(c, d), tree.bead(c, e), tree.bead(e, d)
+    (whole, wk, _, _), (sub, sk, phase_sub_ok, _), (quotient, qk, _, phase_quot_ok) = whole, sub, quot
     w, s, q = whole.rank_theta, sub.rank_theta, quotient.rank_theta
     class_additive = wk == (sk[0] + qk[0], sk[1] + qk[1])
     rank_additive = (w.m, w.n) == (s.m + q.m, s.n + q.n)

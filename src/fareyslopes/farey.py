@@ -149,7 +149,7 @@ def left_right_vertices(
     value window (0, value(|r|)), with k - 1 = floor(-x / |r|) read off
     theta's quotients by `IrrationalNumber.floor_ratio`.  A FinitePrefix
     that cannot decide that floor, or the signs `norm_to_fraction` checks,
-    raises PrecisionExhausted.  theta keeps each split, with |l1| = x.
+    raises PrecisionExhausted.  theta keeps each split, with |l1| = x as (m, n).
     """
     split = theta._splits.get(r)
     if split is None:
@@ -159,7 +159,7 @@ def left_right_vertices(
         _, s, t = _xgcd(w.m, w.n)
         x = ThetaLatticeElement(-t, s, theta)
         x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
-        split = theta._splits[r] = (norm_to_fraction(x), norm_to_fraction(w - x)), x
+        split = theta._splits[r] = (norm_to_fraction(x), norm_to_fraction(w - x)), (x.m, x.n)
     return split[0]
 
 

@@ -16,7 +16,7 @@ import math
 
 from .cfrac import GREATER, IrrationalNumber, compare_theta_rational
 from .errors import MismatchedTheta
-from .exact import ReducedFraction, Value, _set
+from .exact import ReducedFraction, Value, _setters
 
 
 class ThetaLatticeElement(Value):
@@ -25,9 +25,9 @@ class ThetaLatticeElement(Value):
     __slots__ = ("m", "n", "theta")
 
     def __init__(self, m: int, n: int, theta: IrrationalNumber):
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "theta", theta)
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_theta(self, theta)
 
     def _check(self, other: "ThetaLatticeElement") -> None:
         if self.theta is not other.theta and self.theta != other.theta:
@@ -84,6 +84,9 @@ class ThetaLatticeElement(Value):
 
     def __repr__(self):
         return f"ThetaLatticeElement({self.m}, {self.n})"
+
+
+_set_m, _set_n, _set_theta = _setters(ThetaLatticeElement)
 
 
 def chi(x: ThetaLatticeElement, y: ThetaLatticeElement) -> int:

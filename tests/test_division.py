@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fareyslopes import division
-from fareyslopes.cfrac import GREATER, EventuallyPeriodic, FinitePrefix, compare_theta_rational
+from fareyslopes.cfrac import GREATER, EventuallyPeriodic, FinitePrefix, IrrationalNumber, compare_theta_rational
 from fareyslopes.division import (
     _DEPTH_CAP,
     DivisionInterval,
@@ -29,6 +29,7 @@ from fareyslopes.division import (
 )
 from fareyslopes.errors import MismatchedTheta, NotDivisionPoint, PrecisionExhausted, TolTooTight
 from fareyslopes.exact import ReducedFraction as F
+from fareyslopes.farey import left_right_vertices
 from fareyslopes.lattice import ThetaLatticeElement, theta_norm
 from fareyslopes.sheaves import StableClass
 
@@ -339,6 +340,44 @@ def test_errors_do_not_depend_on_what_the_tree_holds():
             division_points(theta, r, 6)
 
 
+@pytest.mark.parametrize("theta, text", [(golden, "[1;(1)]"), (silver, "[1;(2)]")], ids=["golden", "silver"])
+def test_warm_and_cold_ses_checks_agree(theta, text):
+    # with every window's bead stored, a check over theta's own points answers
+    # from the store; a fresh slope builds its beads as it goes, and points over
+    # an equal but distinct slope object take the comparison path: all agree
+    fresh, twin = IrrationalNumber.from_string(text), IrrationalNumber.from_string(text)
+    assert fresh == twin == theta and fresh is not theta and twin is not theta
+    r = theta.convergent(1)
+    pts = division_points(theta, r, 5)
+    for c, d in itertools.combinations(pts, 2):
+        beads(theta, r, c, d)
+    on_fresh, on_twin = ([_P(x.m, x.n, slope) for x in pts] for slope in (fresh, twin))
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        warm = ses_check(theta, r, pts[i], pts[j], pts[k])
+        cold = ses_check(fresh, r, on_fresh[i], on_fresh[j], on_fresh[k])
+        slow = ses_check(theta, r, on_twin[i], on_twin[j], on_twin[k])
+        assert warm.passed and warm == cold == slow
+        assert warm.to_dict() == cold.to_dict() == slow.to_dict()
+    for call, kind, message in _RAISES:
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind and str(info.value) == message
+
+
+def test_warm_ses_checks_neither_address_nor_locate(monkeypatch):
+    # three stored beads prove c < e < d, so a warm check reads no address
+    theta = EventuallyPeriodic((1,), (1,))
+    triples = list(itertools.combinations(division_points(theta, F(2, 1), 4), 3))
+    want = [ses_check(theta, F(2, 1), *triple).to_dict() for triple in triples]
+
+    def refuse(self, x):
+        raise AssertionError("a warm SES check looked a point up")
+
+    monkeypatch.setattr(division._DivisionTree, "address", refuse)
+    monkeypatch.setattr(division._DivisionTree, "locate", refuse)
+    assert [ses_check(theta, F(2, 1), *triple).to_dict() for triple in triples] == want
+
+
 def _outcome(fn):
     try:
         return ("ok", fn())
@@ -476,6 +515,23 @@ def test_slope_state_is_freed_with_the_slope():
     del theta
     gc.collect()
     assert ref() is None
+
+
+def test_a_slope_that_only_split_is_freed_without_the_collector():
+    # the split table keeps |l1|_theta as its (m, n), so it holds no
+    # reference back to theta and reference counting alone frees the slope
+    theta = EventuallyPeriodic((1,), (1,))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert left_right_vertices(theta, F(2, 1)) == (F(5, 3), F(3, 2))
+        assert left_right_vertices(theta, F(5, 3)) == (F(13, 8), F(8, 5))
+        ref = weakref.ref(theta)
+        del theta
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from fareyslopes.cfrac import ConvergentTable, EventuallyPeriodic
+from fareyslopes.division import division_points, ses_check
 from fareyslopes.exact import INFINITY, ZERO, ReducedFraction as F
 from fareyslopes.farey import CuttingSequence, FareyDiagram, FareyTree, FareyTriangle, RollerCoaster, TreeNode
 from fareyslopes.lattice import ThetaLatticeElement
@@ -114,6 +115,17 @@ _G = "EventuallyPeriodic([1], [1])"
 _TRIANGLE_REPR = "FareyTriangle(vertices=(ReducedFraction(1, 1), ReducedFraction(2, 1), ReducedFraction(1, 0)))"
 _LEAF_REPR = "TreeNode(fraction=ReducedFraction(5, 3), side='l', children=())"
 _ROW_REPR = "KClassRow(index=0, coefficient=1, summand=(2, 1), partial=(3, 2), target=(3, 2), ok=True)"
+_POINTS = division_points(golden, F(2, 1), 2)
+_SES_REPR = (
+    "SESReport(sub=BeadObject(interval=(ThetaLatticeElement(0, 0), ThetaLatticeElement(-3, 5)), "
+    "labels=(ReducedFraction(5, 3),), summands=SheafClass(summands=((StableClass(degree=5, rank=3), 0, 1),)), "
+    "rank_theta=ThetaLatticeElement(-3, 5)), whole=BeadObject(interval=(ThetaLatticeElement(0, 0), "
+    "ThetaLatticeElement(-1, 2)), labels=(ReducedFraction(2, 1),), summands=SheafClass(summands=("
+    "(StableClass(degree=2, rank=1), 0, 1),)), rank_theta=ThetaLatticeElement(-1, 2)), quotient=BeadObject("
+    "interval=(ThetaLatticeElement(-3, 5), ThetaLatticeElement(-1, 2)), labels=(ReducedFraction(3, 2),), "
+    "summands=SheafClass(summands=((StableClass(degree=3, rank=2), 1, 1),)), rank_theta=ThetaLatticeElement(2, -3)), "
+    "class_additive=True, rank_additive=True, phase_sub_ok=True, phase_quot_ok=True)"
+)
 _ARROW_REPR = (
     "ChainArrow(source=StableClass(degree=5, rank=3), target=StableClass(degree=2, rank=1), kind='surjection', "
     "complement=(StableClass(degree=3, rank=2), 1))"
@@ -177,6 +189,7 @@ _VALUES = {
         f"WitnessChain(theta={_G}, theta_prime={_G}, r=ReducedFraction(2, 1), level=1, "
         f"nodes=(StableClass(degree=5, rank=3),), arrows=({_ARROW_REPR},))",
     ),
+    "SESReport": (ses_check(golden, F(2, 1), _POINTS[0], _POINTS[2], _POINTS[4]), _SES_REPR),
     "RenderSpec": (
         RenderSpec(model="upper_half", depth=2, highlight=None, size_px=64, style={"stroke": "#000000"}),
         "RenderSpec(model='upper_half', depth=2, highlight=None, size_px=64, style={'stroke': '#000000', "
