@@ -1,11 +1,12 @@
 """Command-line front door: JSON on stdout, SVG via --out, exact inside.
 
-Exit codes: 0 success, 2 bad input (argparse uses the same code), 3 when a
-finite quotient prefix runs out of depth — the needed depth is printed to
-stderr so the caller knows how much more to supply.  Outputs that double per
-level (divide tree and points, farey tree, render svg tree and tessellation)
-take a --depth of at most 16; `divide points` then prints 65 537 points (5 MB),
-and `cf semiconvergents` prints no row longer than that.
+Exit codes: 0 success, 2 bad input (argparse uses the same code) or output
+that cannot be written, 3 when a finite quotient prefix runs out of depth —
+the needed depth is printed to stderr so the caller knows how much more to
+supply.  Outputs that double per level (divide tree and points, farey tree,
+render svg tree and tessellation) take a --depth of at most 16; `divide
+points` then prints 65 537 points (5 MB), and `cf semiconvergents` prints no
+row longer than that.
 
 This module imports only what cf convergents and semiconvergents use
 (errors, exact, cfrac); invariants runs on first use, in cf ctheta, dchain
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
@@ -599,11 +601,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FareySlopesError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(payload, str) and payload.lstrip().startswith("<svg"):
-        sys.stdout.write(payload + "\n")
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    try:
+        if isinstance(payload, str) and payload.lstrip().startswith("<svg"):
+            sys.stdout.write(payload + "\n")
+        else:
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as exc:  # say, a reader that closed the pipe early
+        # the interpreter flushes stdout again at exit, which must not raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

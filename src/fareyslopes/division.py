@@ -21,12 +21,8 @@ and an SES check on three stored beads is three dictionary probes.
 
 from __future__ import annotations
 
-# DivisionInterval and BeadObject stay dataclasses, not exact.Value: callers
-# copy them with dataclasses.replace
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import NotDivisionPoint, TolTooTight
@@ -34,6 +30,9 @@ from .exact import ReducedFraction, Value, _setters
 from .farey import left_right_vertices
 from .lattice import ThetaLatticeElement, theta_norm
 from .sheaves import SheafClass, StableClass
+
+if TYPE_CHECKING:  # approximate_rank imports it when it runs
+    from fractions import Fraction
 
 __all__ = [
     "DivisionInterval",
@@ -55,8 +54,7 @@ _DEPTH_CAP = 64
 # intervals
 
 
-@dataclass(frozen=True, slots=True)
-class DivisionInterval:
+class DivisionInterval(Value):
     """The interval [a, a + |vertex|_theta] in L_theta.
 
     A piece is its exact left end and the fraction labelling it in the
@@ -64,8 +62,11 @@ class DivisionInterval:
     holds by construction.
     """
 
-    a: ThetaLatticeElement
-    vertex: ReducedFraction
+    __slots__ = ("a", "vertex")
+
+    def __init__(self, a: ThetaLatticeElement, vertex: ReducedFraction):
+        _set_a(self, a)
+        _set_vertex(self, vertex)
 
     @property
     def theta(self) -> IrrationalNumber:
@@ -88,6 +89,9 @@ class DivisionInterval:
             "b": {"m": b.m, "n": b.n},
             "vertex": str(self.vertex),
         }
+
+
+_set_a, _set_vertex = _setters(DivisionInterval)
 
 
 def root_interval(theta: IrrationalNumber, r: ReducedFraction) -> DivisionInterval:
@@ -272,8 +276,7 @@ def division_points(
 # bead objects
 
 
-@dataclass(frozen=True, slots=True)
-class BeadObject:
+class BeadObject(Value):
     """The direct sum of shifted stable classes covering [c, d].
 
     ``labels`` lists the rest-position vertices left to right after the
@@ -282,10 +285,14 @@ class BeadObject:
     exact interval length d - c, which equals the rotated rank of the class.
     """
 
-    interval: Tuple[ThetaLatticeElement, ThetaLatticeElement]
-    labels: Tuple[ReducedFraction, ...]
-    summands: SheafClass
-    rank_theta: ThetaLatticeElement
+    __slots__ = ("interval", "labels", "summands", "rank_theta")
+
+    def __init__(self, interval: Tuple[ThetaLatticeElement, ThetaLatticeElement],
+                 labels: Tuple[ReducedFraction, ...], summands: SheafClass, rank_theta: ThetaLatticeElement):
+        _set_interval(self, interval)
+        _set_labels(self, labels)
+        _set_summands(self, summands)
+        _set_rank_theta(self, rank_theta)
 
     def to_dict(self) -> dict:
         c, d = self.interval
@@ -299,6 +306,9 @@ class BeadObject:
                 "value": self.rank_theta.value(),
             },
         }
+
+
+_set_interval, _set_labels, _set_summands, _set_rank_theta = _setters(BeadObject)
 
 
 def _require_window(theta: IrrationalNumber, r: ReducedFraction) -> None:
@@ -448,6 +458,8 @@ def approximate_rank(
     the slope window 0 < slope(r) - theta < 1; raises TolTooTight when 64
     levels do not reach the tolerance.
     """
+    from fractions import Fraction
+
     tree = _tree(theta, r)
     tree.require_window()
     exact = []

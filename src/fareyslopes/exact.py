@@ -7,16 +7,17 @@ larger than every finite value; cross-multiplication p·q' < p'·q realises
 that order uniformly because ∞ contributes (1, 0).
 
 The library's value types (fractions, lattice points, triangles, the classes
-and reports of sheaves) are plain slotted classes on the ``Value`` base
-below rather than dataclasses: a class lists its fields in ``__slots__`` and
-sets each once in its own ``__init__``, and the base derives equality, hash,
-repr, pickling and frozen-ness from that list, so a CLI call that only builds
-such values never imports ``dataclasses`` and the dozen modules it pulls in
-(``inspect``, ``ast``, ``dis``, ...), nor generates code for each class.
+and reports of sheaves, division intervals, bead objects and SES reports) are
+plain slotted classes on the ``Value`` base below rather than dataclasses: a
+class lists its fields in ``__slots__`` and sets each once in its own
+``__init__``, and the base derives equality, hash, repr, pickling and
+frozen-ness from that list, so a CLI call that only builds such values never
+imports ``dataclasses`` and the dozen modules it pulls in (``inspect``,
+``ast``, ``dis``, ...), nor generates code for each class.
 
-Types built on hot paths (a fraction, a lattice element, an SES report) set
-fields through their slot descriptors' ``__set__``, taken once at import and
-about as cheap as a plain assignment; ``_set`` is the slow general path.
+Types built on hot paths (a fraction, a lattice element, the division types)
+set fields through their slot descriptors' ``__set__``, taken once at import
+and about as cheap as a plain assignment; ``_set`` is the slow general path.
 """
 
 from __future__ import annotations

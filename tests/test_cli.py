@@ -44,10 +44,13 @@ def test_bottom_example(capsys):
     assert json.loads(out) == "3/2"
 
 
+# the environment of a new process that imports this fareyslopes
+_FRESH_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
+
+
 def _fresh(*args):
     """Run the interpreter on args in a new process that imports this fareyslopes."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fareyslopes.__file__))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_FRESH_ENV, timeout=120)
 
 
 def test_bottom_past_600_shared_quotients():
@@ -195,6 +198,42 @@ def test_sheaf_chi_and_enumerate_skip_farey_invariants_and_dataclasses(capsys, a
     assert done.returncode == 0 and done.stderr == f"{ran} True\n"
     code, out, _ = run(capsys, *argv)
     assert code == 0 and done.stdout == out
+
+
+_MAIN_THEN_STDLIB = (
+    "import sys, fareyslopes.cli as cli; code = cli.main(sys.argv[1:]); "
+    "print([m for m in ('dataclasses', 'fractions') if m in sys.modules], file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divide", "points", "[1;(1)]", "2/1", "--depth", "3"],
+        ["divide", "beads", "[1;(1)]", "2/1", "(0,0)", "(-3,5)"],
+        ["divide", "ses", "[1;(1)]", "2/1", "(0,0)", "(-3,5)", "(-1,2)"],
+        ["divide", "rank", "[1;(1)]", "2/1", "1/5", "1/100"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_divide_skips_dataclasses_and_fractions(capsys, argv):
+    # divide rank is the control: it takes its target and tol as Fractions
+    done = _fresh("-c", _MAIN_THEN_STDLIB, *argv)
+    loaded = "['fractions']" if argv[1] == "rank" else "[]"
+    assert done.returncode == 0 and done.stderr == f"{loaded}\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and done.stdout == out
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    argv = [sys.executable, "-m", "fareyslopes.cli", "divide", "points", "[1;(1)]", "2/1", "--depth", "12"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_FRESH_ENV) as child:
+        child.stdout.close()  # long before the child has started, let alone written
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error:") and err.count("\n") == 1, err
 
 
 # malformed calls, at least one per group: (exit code, argv)
@@ -454,6 +493,34 @@ _README_BYTES = {
     'render svg tessellation --depth 6 --out tess.svg': (0, "3c51b136b1d1f9920f7a7133bbe9fa2ef5ffb8210f6885d2c548ed3bf00c2da8"),
     "render svg coaster --theta '[1;(1)]' --depth 3 --format json": (0, "8b94d2fd5488465a81d28039f2071026bb5b76eafb1fda301c4bec676ec5ff68"),
 }
+
+
+# exit code and sha256 of stdout of CLI paths the README commands leave out
+_OTHER_BYTES = {
+    "sheaf minimal 1/1 2/1 1/0": (0, "5e249b984a33297cb763665207f4ffb3b7b0d22b1331a7db7f197a5d5127d327"),
+    "sheaf minimal 0/1 2/1 1/0": (0, "bbd7aea1d7cf5ca454970a2cd966664b8d3090b9a0db3e9f1f3d298cbdafe9a2"),
+    "sheaf bound '[1;(2)]'": (0, "a29e5e9a80ad0af5e609e0722824fb77105cfd27694136dbbd27c5bc1c1c8c29"),
+    "sheaf image '[1;(2)]' '[1;(1)]'": (0, "dc483bb933a3e7a6ee12c09850cf6dd1ede5b97cfae5508aa31b2558a61a1de0"),
+    "sheaf multiplicity 3/2 1/1": (0, "7d08b4f9e31230d0b01ae4b7766636dd0fcd8f318c2ce5113f5a15a606d064a8"),
+    "cf dchain '[1;(2)]' -n 4": (0, "18786dd9aa2a36f8a5ebed48f961fa5baa57121e2eed64fd941f41078a07edb2"),
+    "cf ctheta '[1;2,3,4]'": (0, "77c3c8361fb6ba132bec636af4560693d72b877f0527f554bf6cd55b684b6d38"),
+    "cf construct --seed x": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "render svg diagram --theta '[1;(1)]' --far 2/1 --depth 4 --size 64": (
+        0, "047a8e04cb1aebfd11aef75f908e29e244e12f7d7d7b0ae39add1714ddbcfe24"
+    ),
+    "render svg tree --theta '[1;(1)]' --far 2/1 --depth 3 --size 64": (
+        0, "05a9b7f0199a6df74b73e69aecd1ca1ba4995363578c3f74f8a46c3b3670f93e"
+    ),
+    "render svg tessellation --theta '[1;(1)]' --far 2/1 --depth 3 --size 64": (
+        0, "1b3554529a80ed86f0d9a6717526385a42caf0689b2285c89c68ea2703901953"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_OTHER_BYTES))
+def test_other_commands_keep_their_bytes(capsys, call):
+    code, out, _ = run(capsys, *shlex.split(call))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _OTHER_BYTES[call]
 
 
 def test_readme_commands_keep_their_bytes(capsys, tmp_path, monkeypatch):

@@ -546,12 +546,6 @@ def test_slope_copies_carry_no_state(make):
         assert (twin._memo, twin._splits, twin._trees) == ([(1, 0)], {}, {})
 
 
-def test_replace_on_division_interval():
-    iv = dataclasses.replace(_AB, vertex=F(5, 3))
-    assert iv == DivisionInterval(_AB.a, F(5, 3)) and iv.b == _AB.a + theta_norm(F(5, 3), golden)
-    assert dataclasses.replace(_AB) == _AB
-
-
 def test_to_dict_shapes():
     mid2 = beads(golden, F(2, 1), p1, p3)
     d = mid2.to_dict()

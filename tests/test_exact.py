@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from fareyslopes.cfrac import ConvergentTable, EventuallyPeriodic
-from fareyslopes.division import division_points, ses_check
+from fareyslopes.division import DivisionInterval, beads, division_points, ses_check
 from fareyslopes.exact import INFINITY, ZERO, ReducedFraction as F
 from fareyslopes.farey import CuttingSequence, FareyDiagram, FareyTree, FareyTriangle, RollerCoaster, TreeNode
 from fareyslopes.lattice import ThetaLatticeElement
@@ -28,7 +28,8 @@ def test_normalisation():
 
 
 def test_infinity_is_a_single_point():
-    assert F(1, 0) == F(7, 0) == F(-3, 0) == INFINITY
+    assert F(1, 0) == F(7, 0) == F(-3, 0) == INFINITY == F.infinity()
+    assert repr(F.infinity()) == "ReducedFraction(1, 0)" and str(F.infinity()) == "1/0"
     assert INFINITY.is_infinite
     assert not F(5, 1).is_infinite
     with pytest.raises(ValueError):
@@ -188,6 +189,16 @@ _VALUES = {
         WitnessChain(theta=golden, theta_prime=golden, r=F(2, 1), level=1, nodes=(_STABLE,), arrows=(_ARROW,)),
         f"WitnessChain(theta={_G}, theta_prime={_G}, r=ReducedFraction(2, 1), level=1, "
         f"nodes=(StableClass(degree=5, rank=3),), arrows=({_ARROW_REPR},))",
+    ),
+    "DivisionInterval": (
+        DivisionInterval(a=_POINTS[2], vertex=F(3, 2)),
+        "DivisionInterval(a=ThetaLatticeElement(-3, 5), vertex=ReducedFraction(3, 2))",
+    ),
+    "BeadObject": (
+        beads(golden, F(2, 1), _POINTS[1], _POINTS[4]),
+        "BeadObject(interval=(ThetaLatticeElement(-8, 13), ThetaLatticeElement(-1, 2)), labels=(ReducedFraction(8, 5), "
+        "ReducedFraction(3, 2)), summands=SheafClass(summands=((StableClass(degree=8, rank=5), 1, 1), "
+        "(StableClass(degree=3, rank=2), 1, 1))), rank_theta=ThetaLatticeElement(7, -11))",
     ),
     "SESReport": (ses_check(golden, F(2, 1), _POINTS[0], _POINTS[2], _POINTS[4]), _SES_REPR),
     "RenderSpec": (

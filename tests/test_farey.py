@@ -591,3 +591,10 @@ def test_shortest_path_bundle():
     with pytest.raises(NoPath):
         shortest_path_bundle(rc3, F(1, 7), F(8, 5))  # not a vertex
 
+
+def test_coaster_edges_and_triangle_str():
+    pairs = [(2, 1, 1, 0), (1, 1, 1, 0), (1, 1, 2, 1), (1, 1, 3, 2), (3, 2, 2, 1), (5, 3, 2, 1), (3, 2, 5, 3),
+             (3, 2, 8, 5), (8, 5, 5, 3)]
+    assert roller_coaster(golden, 2).edges() == [(F(a, b), F(c, d)) for a, b, c, d in pairs]
+    triangles = farey_diagram(golden, INFINITY, 3).triangles
+    assert [str(t) for t, _ in triangles] == ["(1/1, 2/1, 1/0)", "(1/1, 3/2, 2/1)", "(3/2, 5/3, 2/1)"]

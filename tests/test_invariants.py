@@ -233,15 +233,15 @@ def _imports_dataclasses(stmt) -> bool:
     return isinstance(stmt, ast.ImportFrom) and stmt.module == "dataclasses"
 
 
-def test_only_division_and_invariants_import_dataclasses():
+def test_only_invariants_imports_dataclasses():
     # the other value types derive eq, hash and repr from exact.Value, so a
     # CLI call that builds only them never pays for importing dataclasses
     found = [
         name for name, node in _src_nodes() if isinstance(node, ast.Module) and any(map(_imports_dataclasses, node.body))
     ]
-    assert found == ["division.py", "invariants.py"], (
-        "only two modules keep dataclasses: tests call dataclasses.replace and fields on division's types, "
-        "and the benchmark digests read invariants' CThetaReport and Stabilized through dataclasses.fields"
+    assert found == ["invariants.py"], (
+        "only invariants keeps dataclasses: bench/ops.py:canon serializes its CThetaReport and Stabilized "
+        "through dataclasses.fields, so the benchmark digests depend on it"
     )
 
 

@@ -320,6 +320,30 @@ def test_witness_image_chain():
         witness_image_chain(sqrt2, golden, F(7, 5))  # not between the slopes
 
 
+def test_witness_chain_to_dict():
+    arrows = [
+        {"from": "O([1;(2)]+)", "to": "O(10/7)", "kind": "surjection"},
+        {"from": "O(10/7)", "to": "O(3/2)", "kind": "surjection",
+         "complement": {"degree": 7, "rank": 5, "multiplicity": 1, "role": "kernel"}},
+        {"from": "O(3/2)", "to": "O(8/5)", "kind": "injection",
+         "complement": {"degree": 5, "rank": 3, "multiplicity": 1, "role": "cokernel"}},
+        {"from": "O(8/5)", "to": "O([1;(1)]-)", "kind": "injection"},
+    ]
+    chain = witness_image_chain(sqrt2, golden, F(3, 2))
+    assert [arrow.to_dict() for arrow in chain.arrows] == arrows
+    assert chain.to_dict() == {
+        "theta": "[1;(2)]", "theta_prime": "[1;(1)]", "r": "3/2", "level": 1,
+        "nodes": ["O([1;(2)]+)", "O(10/7)", "O(3/2)", "O(8/5)", "O([1;(1)]-)"], "arrows": arrows,
+    }
+
+
+def test_limit_descriptor_to_dict_and_scaled_dims():
+    assert LimitObjectDescriptor(golden, PLUS).to_dict() == {"theta": "[1;(1)]", "side": "plus"}
+    assert LimitObjectDescriptor(sqrt2, MINUS).to_dict() == {"theta": "[1;(2)]", "side": "minus"}
+    assert repr(DimPair(3, 1).scaled(-2)) == "DimPair(dim=-6, ht=-2)"
+    assert DimPair(3, 1).scaled(0) == DimPair(0, 0)
+
+
 def test_witness_depth_cap_raises_tol_too_tight(monkeypatch):
     # 3363/2378 is a convergent of sqrt 2: its witness needs diagram depth 32
     with monkeypatch.context() as patch:
