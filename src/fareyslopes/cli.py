@@ -8,18 +8,16 @@ render svg tree and tessellation) take a --depth of at most 16; `divide
 points` then prints 65 537 points (5 MB), and `cf semiconvergents` prints no
 row longer than that.
 
-This module imports only what cf convergents and semiconvergents use
-(errors, exact, cfrac); invariants runs on first use, in cf ctheta, dchain
-and construct.  Every other handler imports its modules when it runs: farey
-for the farey group, farey and render for render, sheaves for sheaf (which
-loads farey or invariants only for some commands on limit objects), and
-division (which loads all but render and invariants) for divide.
+This module imports only what the cf group uses (errors, exact, cfrac and
+invariants).  Every other handler imports its modules when it runs: farey
+for the farey group, farey and render for render, sheaves (which loads
+invariants, and farey only for some commands on limit objects) for sheaf, and
+division (which loads all but render) for divide.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
@@ -29,26 +27,10 @@ from .cfrac import IrrationalNumber, convergents, semiconvergents
 from .errors import FareySlopesError, PrecisionExhausted
 from .exact import ReducedFraction
 
-
-def _deferred(name: str):
-    """Submodule `name`, in sys.modules at once but run on first attribute use.
-
-    Only three cf commands use invariants, which loads ``dataclasses``; a
-    traced CLI call (bench/clitrace.py) patches invariants' names as soon as
-    this module is imported, so the module must be there to patch.
-    """
-    full = f"{__package__}.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[full] = importlib.util.module_from_spec(spec)
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-invariants = _deferred("invariants")
+# bench/tracer.py indexes sys.modules["fareyslopes.invariants"] in every CLI call
+from .invariants import (
+    LowerBoundOnly, Stabilized, c_theta, construct_special_theta, d_chain, special_conditions_hold,
+)
 
 if TYPE_CHECKING:  # the handlers import these, so a subcommand loads only its modules
     from .lattice import ThetaLatticeElement
@@ -120,9 +102,9 @@ def _parse_point(text: str, theta: IrrationalNumber) -> ThetaLatticeElement:
 
 
 def _status_dict(status) -> dict:
-    if isinstance(status, invariants.Stabilized):
+    if isinstance(status, Stabilized):
         return {"kind": "stabilized", "c": status.c}
-    if isinstance(status, invariants.LowerBoundOnly):
+    if isinstance(status, LowerBoundOnly):
         return {"kind": "lower_bound_only", "last": status.last}
     return {"kind": type(status).__name__.lower()}
 
@@ -133,6 +115,8 @@ def _status_dict(status) -> dict:
 
 def _cmd_cf_convergents(args) -> list:
     theta = _parse_theta(args.theta)
+    if args.n < 1:
+        raise ValueError("-n must be >= 1")
     table = convergents(theta, args.n - 1)
     return [str(beta) for (i, beta, _) in table.rows if i >= 0]
 
@@ -148,7 +132,7 @@ def _cmd_cf_semiconvergents(args) -> list:
 
 
 def _cmd_cf_ctheta(args) -> dict:
-    report = invariants.c_theta(_parse_theta(args.theta), budget=args.budget)
+    report = c_theta(_parse_theta(args.theta), budget=args.budget)
     return {
         "theta": str(report.theta),
         "pairs": [[i, c] for (i, c) in report.c_values],
@@ -158,7 +142,7 @@ def _cmd_cf_ctheta(args) -> dict:
 
 
 def _cmd_cf_dchain(args) -> list:
-    return invariants.d_chain(_parse_theta(args.theta), args.n)
+    return d_chain(_parse_theta(args.theta), args.n)
 
 
 def _cmd_cf_construct(args) -> dict:
@@ -166,14 +150,14 @@ def _cmd_cf_construct(args) -> dict:
         a0, a1, a2 = (int(x) for x in args.seed.split(","))
     except ValueError:
         raise ValueError(f"--seed wants 'a0,a1,a2', got {args.seed!r}")
-    theta = invariants.construct_special_theta(a0, a1, a2, args.depth)
+    theta = construct_special_theta(a0, a1, a2, args.depth)
     steps = args.depth
     return {
         "theta": str(theta),
         "quotients": list(theta.quotients),
-        "conditions_hold": invariants.special_conditions_hold(theta),
-        "d_chain": invariants.d_chain(theta, steps + 1),
-        "c_chain": invariants.c_theta(theta, budget=theta.available_depth()).chain(),
+        "conditions_hold": special_conditions_hold(theta),
+        "d_chain": d_chain(theta, steps + 1),
+        "c_chain": c_theta(theta, budget=theta.available_depth()).chain(),
     }
 
 
@@ -594,6 +578,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.func(args)
+        if not (isinstance(payload, str) and payload.lstrip().startswith("<svg")):
+            # inside the try: str() of an int past 4300 digits raises ValueError
+            payload = json.dumps(payload, indent=2)
     except PrecisionExhausted as exc:
         hint = f" (needed depth: {exc.needed_depth})" if exc.needed_depth else ""
         print(f"error: quotient prefix too short{hint}: {exc}", file=sys.stderr)
@@ -602,11 +589,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if isinstance(payload, str) and payload.lstrip().startswith("<svg"):
-            sys.stdout.write(payload + "\n")
-        else:
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+        sys.stdout.write(payload + "\n")
         sys.stdout.flush()
     except OSError as exc:  # say, a reader that closed the pipe early
         # the interpreter flushes stdout again at exit, which must not raise

@@ -6,14 +6,14 @@ point at infinity is 1/0.  The real-line order extends to ∞ by making it
 larger than every finite value; cross-multiplication p·q' < p'·q realises
 that order uniformly because ∞ contributes (1, 0).
 
-The library's value types (fractions, lattice points, triangles, the classes
-and reports of sheaves, division intervals, bead objects and SES reports) are
-plain slotted classes on the ``Value`` base below rather than dataclasses: a
-class lists its fields in ``__slots__`` and sets each once in its own
-``__init__``, and the base derives equality, hash, repr, pickling and
-frozen-ness from that list, so a CLI call that only builds such values never
-imports ``dataclasses`` and the dozen modules it pulls in (``inspect``,
-``ast``, ``dis``, ...), nor generates code for each class.
+All of the library's value types (fractions, lattice points, triangles, the
+c(θ) reports, the classes and reports of sheaves, division intervals, bead
+objects and SES reports) are plain slotted classes on the ``Value`` base
+below rather than dataclasses: a class lists its fields in ``__slots__`` and
+sets each once in its own ``__init__``, and the base derives equality, hash,
+repr, pickling and frozen-ness from that list, so no CLI call imports
+``dataclasses`` and the dozen modules it pulls in (``inspect``, ``ast``,
+``dis``, ...), nor generates code for each class.
 
 Types built on hot paths (a fraction, a lattice element, the division types)
 set fields through their slot descriptors' ``__set__``, taken once at import

@@ -18,34 +18,51 @@ from __future__ import annotations
 
 import math
 
-# dataclasses, not exact.Value: the benchmark's digests (bench/ops.py) read
-# CThetaReport and Stabilized through dataclasses.fields
-from dataclasses import dataclass, field
-
 from .cfrac import EventuallyPeriodic, FinitePrefix, IrrationalNumber
 from .errors import PrecisionExhausted, PrimePickerExhausted, SeedRejected
+from .exact import MutableValue, Value
 
 # -- report types ------------------------------------------------------------
+# to_dict keeps the {"type": name, field: ...} shape that the benchmark's
+# stored digests (bench/ops.py:canon) hash
 
 
-@dataclass(frozen=True)
-class Stabilized:
-    c: int
+class Stabilized(Value):
+    __slots__ = ("c",)
+
+    def __init__(self, c: int):
+        self._init(c)
+
+    def to_dict(self) -> dict:
+        return {"type": "Stabilized", "c": self.c}
 
 
-@dataclass(frozen=True)
-class LowerBoundOnly:
-    last: int
+class LowerBoundOnly(Value):
+    __slots__ = ("last",)
+
+    def __init__(self, last: int):
+        self._init(last)
+
+    def to_dict(self) -> dict:
+        return {"type": "LowerBoundOnly", "last": self.last}
 
 
-@dataclass
-class CThetaReport:
-    theta: IrrationalNumber
-    c_values: list = field(default_factory=list)  # (i, c_i)
-    status: object = None
+class CThetaReport(MutableValue):
+    __slots__ = ("theta", "c_values", "status")
+
+    def __init__(self, theta: IrrationalNumber, c_values: list | None = None, status=None):
+        self._init(theta, [] if c_values is None else c_values, status)  # c_values: (i, c_i)
 
     def chain(self):
         return [c for (_, c) in self.c_values]
+
+    def to_dict(self) -> dict:
+        return {
+            "type": "CThetaReport",
+            "theta": str(self.theta),
+            "c_values": [[i, c] for (i, c) in self.c_values],
+            "status": None if self.status is None else self.status.to_dict(),
+        }
 
 
 # -- the c invariant ---------------------------------------------------------

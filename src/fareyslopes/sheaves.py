@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import TolTooTight
 from .exact import ReducedFraction, Value
+from .invariants import Stabilized, bounded_quotients, c_theta
 
 __all__ = [
     "DimPair",
@@ -440,7 +441,6 @@ class EndoBoundReport(Value):
 
 def _tail_bounded_by_two(theta: IrrationalNumber) -> Optional[bool]:
     """Are all partial quotients a_i (i >= 1) at most 2?  None = can't tell."""
-    from .invariants import bounded_quotients
     depth = theta.available_depth()
     if depth == 0:
         return None  # a bare a0 says nothing about the tail
@@ -458,8 +458,6 @@ def endo_dim_bound(desc: LimitObjectDescriptor, budget: int = 64) -> EndoBoundRe
     even-index convergent data; ``bound`` is that square when the chain
     certifiably stabilises, None when the evidence is a lower bound only.
     """
-    from .invariants import Stabilized, c_theta
-
     if desc.side != MINUS:
         raise ValueError("the endomorphism bound applies to the minus side only")
     report = c_theta(desc.theta, budget)
@@ -620,7 +618,6 @@ def _classify_minus_limit(
     x: LimitObjectDescriptor, y: LimitObjectDescriptor, depth: int, budget: int
 ) -> HomReport:
     from .farey import _slopes_equal, slope_lt
-    from .invariants import Stabilized, c_theta
 
     # finite prefixes are never equal: slope_lt raises PrecisionExhausted
     if _slopes_equal(x.theta, y.theta) and y.side == MINUS:

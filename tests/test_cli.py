@@ -176,26 +176,30 @@ def test_light_commands_skip_sheaves_division_and_fractions(capsys, argv):
     assert code == 0 and done.stdout == out
 
 
-# a module counts once it has run: the CLI puts invariants in sys.modules on
-# import, for bench/tracer.py to patch, but runs it only on first use
-_MAIN_THEN_RUN = (
+_MAIN_THEN_FAREY = (
     "import sys, fareyslopes.cli as cli; code = cli.main(sys.argv[1:]); "
-    "print([m for m in ('fareyslopes.farey', 'fareyslopes.invariants', 'fareyslopes.lattice', 'dataclasses') "
-    "if type(sys.modules.get(m)) is type(sys)], 'fareyslopes.invariants' in sys.modules, file=sys.stderr); "
+    "print([m for m in ('fareyslopes.farey', 'fareyslopes.lattice', 'dataclasses') if m in sys.modules], "
+    "file=sys.stderr); "
     "sys.exit(code)"
 )
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["sheaf", "chi", "0/1", "3/1"], ["sheaf", "enumerate", "--max-rank", "3"], ["cf", "ctheta", "[1;(2)]"]],
+    [
+        ["sheaf", "chi", "0/1", "3/1"],
+        ["sheaf", "enumerate", "--max-rank", "3"],
+        ["cf", "ctheta", "[1;(2)]"],
+        ["cf", "construct", "--depth", "3"],
+        ["sheaf", "bound", "[1;(2)]"],
+    ],
     ids=lambda argv: " ".join(argv[:2]),
 )
 def test_sheaf_chi_and_enumerate_skip_farey_invariants_and_dataclasses(capsys, argv):
-    # cf ctheta is the control: it runs invariants, which loads dataclasses
-    done = _fresh("-c", _MAIN_THEN_RUN, *argv)
-    ran = "['fareyslopes.invariants', 'dataclasses']" if argv[0] == "cf" else "[]"
-    assert done.returncode == 0 and done.stderr == f"{ran} True\n"
+    # the CLI imports invariants for every call; none of these commands
+    # loads farey, lattice or dataclasses
+    done = _fresh("-c", _MAIN_THEN_FAREY, *argv)
+    assert done.returncode == 0 and done.stderr == "[]\n"
     code, out, _ = run(capsys, *argv)
     assert code == 0 and done.stdout == out
 
@@ -244,6 +248,7 @@ _BAD_INPUT = [
     (2, "farey bottom '[1;(1)]' garbage"),
     (2, "farey tree '[1;(1)]' 2/1 --depth 17"),
     (2, "sheaf hom 2/4 1/1"),
+    (2, "sheaf kclass '[0;(1000000)]' --depth 400"),  # an int past str()'s 4300-digit limit
     (2, "divide rank '[1;(1)]' 2/1 1/0 1/10"),  # a zero denominator once escaped as ZeroDivisionError
     (2, "divide rank '[1;(1)]' 2/1 1/5 inf"),
     (2, "divide beads '[1;(1)]' 2/1 '(0,0)' '(2,-3)'"),
@@ -338,6 +343,12 @@ def test_divide_tree_and_points(capsys):
     pts = json.loads(out)
     assert code == 0 and len(pts) == 9
     assert [p["value"] for p in pts] == sorted(p["value"] for p in pts)
+
+
+def test_convergents_rejects_n_below_one(capsys):
+    # the message names the flag as typed: -n counts convergents from β_0
+    code, out, err = run(capsys, "cf", "convergents", "[1;(1)]", "-n", "0")
+    assert (code, out, err) == (2, "", "error: -n must be >= 1\n")
 
 
 def test_divide_tree_rejects_negative_depth(capsys):

@@ -10,6 +10,7 @@ from fareyslopes.cfrac import ConvergentTable, EventuallyPeriodic
 from fareyslopes.division import DivisionInterval, beads, division_points, ses_check
 from fareyslopes.exact import INFINITY, ZERO, ReducedFraction as F
 from fareyslopes.farey import CuttingSequence, FareyDiagram, FareyTree, FareyTriangle, RollerCoaster, TreeNode
+from fareyslopes.invariants import CThetaReport, LowerBoundOnly, Stabilized
 from fareyslopes.lattice import ThetaLatticeElement
 from fareyslopes.render import RenderSpec
 from fareyslopes.sheaves import (
@@ -200,6 +201,12 @@ _VALUES = {
         "ReducedFraction(3, 2)), summands=SheafClass(summands=((StableClass(degree=8, rank=5), 1, 1), "
         "(StableClass(degree=3, rank=2), 1, 1))), rank_theta=ThetaLatticeElement(7, -11))",
     ),
+    "Stabilized": (Stabilized(c=1), "Stabilized(c=1)"),
+    "LowerBoundOnly": (LowerBoundOnly(last=3), "LowerBoundOnly(last=3)"),
+    "CThetaReport": (
+        CThetaReport(theta=golden, c_values=[(0, 1)], status=Stabilized(1)),
+        f"CThetaReport(theta={_G}, c_values=[(0, 1)], status=Stabilized(c=1))",
+    ),
     "SESReport": (ses_check(golden, F(2, 1), _POINTS[0], _POINTS[2], _POINTS[4]), _SES_REPR),
     "RenderSpec": (
         RenderSpec(model="upper_half", depth=2, highlight=None, size_px=64, style={"stroke": "#000000"}),
@@ -208,7 +215,7 @@ _VALUES = {
         "'accent': '#b03a48', 'background': '#ffffff'})",
     ),
 }
-_MUTABLE = {"ConvergentTable", "FareyDiagram", "RollerCoaster", "RenderSpec"}
+_MUTABLE = {"ConvergentTable", "CThetaReport", "FareyDiagram", "RollerCoaster", "RenderSpec"}
 
 
 @pytest.mark.parametrize("name", sorted(_VALUES))
@@ -236,3 +243,10 @@ def test_value_type_contract(name):
         setattr(value, field, getattr(value, field))
     with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
         delattr(value, field)
+
+
+def test_c_theta_report_starts_with_a_fresh_list():
+    first, second = CThetaReport(golden), CThetaReport(golden)
+    assert repr(first) == f"CThetaReport(theta={_G}, c_values=[], status=None)"
+    first.c_values.append((0, 1))
+    assert second.c_values == []

@@ -51,6 +51,30 @@ def test_known_stabilized_values():
     assert c_theta(sqrt2).status == Stabilized(1)
 
 
+# the {"type": name, field: ...} shape that the benchmark's stored digests
+# (bench/ops.py:canon) hash
+_REPORT_DICTS = {
+    "[1;(1)]": {
+        "type": "CThetaReport", "theta": "[1;(1)]", "c_values": [[0, 1], [1, 1], [2, 1]],
+        "status": {"type": "Stabilized", "c": 1},
+    },
+    "[0;1,2,(1,3)]": {
+        "type": "CThetaReport", "theta": "[0;1,2,(1,3)]", "c_values": [[0, 1], [1, 3], [2, 3], [3, 3], [4, 3]],
+        "status": {"type": "Stabilized", "c": 3},
+    },
+    "[1;1,1,1,6,1,110,1,1040910]": {
+        "type": "CThetaReport", "theta": "[1;1,1,1,6,1,110,1,1040910]",
+        "c_values": [[0, 1], [1, 2], [2, 10], [3, 510]], "status": {"type": "LowerBoundOnly", "last": 510},
+    },
+}
+
+
+def test_report_to_dict_keeps_the_digest_shape():
+    thetas = [golden, EventuallyPeriodic((0, 1, 2), (1, 3)), construct_special_theta(1, 1, 1, 3)]
+    assert isinstance(thetas[-1], FinitePrefix)
+    assert {str(theta): c_theta(theta).to_dict() for theta in thetas} == _REPORT_DICTS
+
+
 def test_chain_is_a_divisibility_chain():
     rng = random.Random(10)
     for _ in range(60):
@@ -233,16 +257,17 @@ def _imports_dataclasses(stmt) -> bool:
     return isinstance(stmt, ast.ImportFrom) and stmt.module == "dataclasses"
 
 
-def test_only_invariants_imports_dataclasses():
-    # the other value types derive eq, hash and repr from exact.Value, so a
-    # CLI call that builds only them never pays for importing dataclasses
-    found = [
-        name for name, node in _src_nodes() if isinstance(node, ast.Module) and any(map(_imports_dataclasses, node.body))
-    ]
-    assert found == ["invariants.py"], (
-        "only invariants keeps dataclasses: bench/ops.py:canon serializes its CThetaReport and Stabilized "
-        "through dataclasses.fields, so the benchmark digests depend on it"
-    )
+def test_no_module_imports_dataclasses():
+    # the value types derive eq, hash and repr from exact.Value, so no call
+    # pays for importing dataclasses; only Value's error path, assigning to
+    # or deleting a field of a frozen value, loads it for FrozenInstanceError
+    error_path, found = set(), []
+    for name, node in _src_nodes():
+        if name == "exact.py" and isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__"):
+            error_path.update((name, id(inner)) for inner in ast.walk(node))
+        elif _imports_dataclasses(node) and (name, id(node)) not in error_path:
+            found.append(f"{name}:{node.lineno}")
+    assert found == []
 
 
 def test_src_has_no_unreferenced_private_names():
