@@ -20,7 +20,7 @@ import itertools
 import re
 
 from .errors import PrecisionExhausted
-from .exact import MutableValue, ReducedFraction
+from .exact import ReducedFraction, Value
 
 _CF_RE = re.compile(
     r"^\s*\[\s*(-?\d+)\s*(?:;\s*(.*?))?\s*\]\s*$"
@@ -156,23 +156,29 @@ class IrrationalNumber:
 
     @staticmethod
     def from_string(text: str):
-        """Parse "[a0;a1,a2,...]" with an optional "(p1,p2,...)" period tail."""
+        """Parse "[a0;a1,a2,...]" with an optional "(p1,p2,...)" period tail.
+
+        Text that does not parse raises "not a continued fraction"; parsed
+        quotients that no slope has raise the constructor's own message.
+        """
         m = _CF_RE.match(text)
-        if not m:
-            raise ValueError(f"not a continued fraction: {text!r}")
-        a0 = int(m.group(1))
-        rest = (m.group(2) or "").strip()
-        pre = [a0]
-        period = None
-        if rest:
-            pm = re.match(r"^(.*?)\(\s*([^()]*)\s*\)\s*$", rest)
-            if pm:
-                head, tail = pm.group(1).strip().rstrip(","), pm.group(2)
-                if head:
-                    pre += [int(t) for t in head.split(",")]
-                period = [int(t) for t in tail.split(",")]
-            else:
-                pre += [int(t) for t in rest.split(",")]
+        try:
+            if not m:
+                raise ValueError
+            pre = [int(m.group(1))]
+            period = None
+            rest = (m.group(2) or "").strip()
+            if rest:
+                pm = re.match(r"^(.*?)\(\s*([^()]*)\s*\)\s*$", rest)
+                if pm:
+                    head, tail = pm.group(1).strip().rstrip(","), pm.group(2)
+                    if head:
+                        pre += [int(t) for t in head.split(",")]
+                    period = [int(t) for t in tail.split(",")]
+                else:
+                    pre += [int(t) for t in rest.split(",")]
+        except ValueError:
+            raise ValueError(f"not a continued fraction: {text!r}") from None
         if period is not None:
             return EventuallyPeriodic(pre, period)
         return FinitePrefix(pre)
@@ -371,7 +377,7 @@ def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
 # -- convergent and semiconvergent tables -----------------------------------
 
 
-class ConvergentTable(MutableValue):
+class ConvergentTable(Value):
     """Rows (i, β_i, a_i) for i = −1..n; a₋₁ is reported as None."""
 
     __slots__ = ("theta", "rows")

@@ -34,7 +34,6 @@ from .invariants import (
 
 if TYPE_CHECKING:  # the handlers import these, so a subcommand loads only its modules
     from .lattice import ThetaLatticeElement
-    from .render import RenderSpec
     from .sheaves import StableClass
 
 _DOUBLING_DEPTH_CAP = 16
@@ -343,14 +342,9 @@ def _load_style(path: Optional[str]) -> dict:
     return style
 
 
-def _render_object(args, spec: RenderSpec):
+def _render_object(args):
+    """The diagram, tree or roller coaster that ``render svg`` draws."""
     from .farey import farey_diagram, farey_tree, roller_coaster
-    if args.kind == "tessellation":
-        if args.theta is not None and args.far is not None:
-            spec.highlight = farey_diagram(
-                _parse_theta(args.theta), _parse_slope(args.far), args.depth
-            )
-        return spec.depth
     if args.theta is None:
         raise ValueError(f"render {args.kind} needs --theta")
     theta = _parse_theta(args.theta)
@@ -366,14 +360,20 @@ def _render_object(args, spec: RenderSpec):
 
 
 def _cmd_render_svg(args):
+    from .farey import farey_diagram
     from .render import RenderSpec, render_svg
-    spec = RenderSpec(
-        model=args.model,
-        depth=_capped(args.depth) if args.kind in ("tessellation", "tree") else args.depth,
-        size_px=args.size,
-        style=_load_style(args.config),
-    )
-    obj = _render_object(args, spec)
+    depth = _capped(args.depth) if args.kind in ("tessellation", "tree") else args.depth
+    style = _load_style(args.config)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if args.size < 64:  # RenderSpec's own check, made before the figure is built
+        raise ValueError("size_px must be >= 64")
+    obj, highlight = depth, None
+    if args.kind != "tessellation":
+        obj = _render_object(args)
+    elif args.theta is not None and args.far is not None:
+        highlight = farey_diagram(_parse_theta(args.theta), _parse_slope(args.far), depth)
+    spec = RenderSpec(args.model, highlight, args.size, style)
     if args.format == "json":
         return obj if isinstance(obj, int) else obj.to_dict()
     svg = render_svg(spec, obj)

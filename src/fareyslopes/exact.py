@@ -6,14 +6,16 @@ point at infinity is 1/0.  The real-line order extends to ∞ by making it
 larger than every finite value; cross-multiplication p·q' < p'·q realises
 that order uniformly because ∞ contributes (1, 0).
 
-All of the library's value types (fractions, lattice points, triangles, the
-c(θ) reports, the classes and reports of sheaves, division intervals, bead
-objects and SES reports) are plain slotted classes on the ``Value`` base
+All of the library's value types (fractions, lattice points, convergent
+tables, triangles, diagrams, trees, roller coasters, the c(θ) reports, the
+classes and reports of sheaves, division intervals, bead objects, SES reports
+and render specs) are frozen, plain slotted classes on the ``Value`` base
 below rather than dataclasses: a class lists its fields in ``__slots__`` and
 sets each once in its own ``__init__``, and the base derives equality, hash,
 repr, pickling and frozen-ness from that list, so no CLI call imports
 ``dataclasses`` and the dozen modules it pulls in (``inspect``, ``ast``,
-``dis``, ...), nor generates code for each class.
+``dis``, ...), nor generates code for each class.  A value whose fields hold
+a list or a dict is unhashable, as its field tuple is.
 
 Types built on hot paths (a fraction, a lattice element, the division types)
 set fields through their slot descriptors' ``__set__``, taken once at import
@@ -75,15 +77,6 @@ class Value:
         from dataclasses import FrozenInstanceError
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class MutableValue(Value):
-    """A ``Value`` whose fields may be reassigned, and so is unhashable."""
-
-    __slots__ = ()
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
 
 @total_ordering

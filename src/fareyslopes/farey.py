@@ -34,7 +34,7 @@ from .cfrac import (
     semiconvergents,
 )
 from .errors import NoPath
-from .exact import MutableValue, ReducedFraction, Value
+from .exact import ReducedFraction, Value
 from .lattice import norm_to_fraction, theta_norm, ThetaLatticeElement
 
 Slope = Union[ReducedFraction, IrrationalNumber]
@@ -288,7 +288,7 @@ def _leave(
 # Farey diagrams
 
 
-class FareyDiagram(MutableValue):
+class FareyDiagram(Value):
     """The fan of Farey triangles crossed by the geodesic (far end, theta).
 
     ``triangles`` is ordered away from the far end toward theta, each entry
@@ -369,7 +369,7 @@ def _base_edge(theta: IrrationalNumber, r: IrrationalNumber) -> tuple[ReducedFra
 
 
 def _two_ended_diagram(theta: IrrationalNumber, r: IrrationalNumber, depth: int) -> FareyDiagram:
-    if theta == r:
+    if _slopes_equal(theta, r):
         raise ValueError("a diagram needs two distinct slopes")
     # the edge holds r, not theta: hi is on the lower arc, between r and
     # theta or beyond r; then theta's frame keeps orientation, r's reverses it
@@ -568,7 +568,7 @@ def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction
 # the roller coaster complex
 
 
-class RollerCoaster(MutableValue):
+class RollerCoaster(Value):
     """Semiconvergent fan families of a slope as a directed complex.
 
     Vertices are the semiconvergents beta_{i,m} (family i >= -1, step m)

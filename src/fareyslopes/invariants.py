@@ -20,7 +20,7 @@ import math
 
 from .cfrac import EventuallyPeriodic, FinitePrefix, IrrationalNumber
 from .errors import PrecisionExhausted, PrimePickerExhausted, SeedRejected
-from .exact import MutableValue, Value
+from .exact import Value
 
 # -- report types ------------------------------------------------------------
 # to_dict keeps the {"type": name, field: ...} shape that the benchmark's
@@ -47,11 +47,11 @@ class LowerBoundOnly(Value):
         return {"type": "LowerBoundOnly", "last": self.last}
 
 
-class CThetaReport(MutableValue):
+class CThetaReport(Value):
     __slots__ = ("theta", "c_values", "status")
 
-    def __init__(self, theta: IrrationalNumber, c_values: list | None = None, status=None):
-        self._init(theta, [] if c_values is None else c_values, status)  # c_values: (i, c_i)
+    def __init__(self, theta: IrrationalNumber, c_values: list, status):
+        self._init(theta, c_values, status)  # c_values: (i, c_i); status: Stabilized or LowerBoundOnly
 
     def chain(self):
         return [c for (_, c) in self.c_values]
@@ -81,6 +81,9 @@ def _tail_gcd(theta: EventuallyPeriodic, start: int) -> int:
 def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
     """The chain c_i = gcd(q_{2i}, a_{2i+2}, a_{2i+4}, …) and its limit.
 
+    The report holds the pairs (i, c_i) and a status, Stabilized(c) or
+    LowerBoundOnly(last), and is built once the chain is complete.
+
     EventuallyPeriodic input always stabilises: past the preperiod the tail
     gcd is a fixed A (one full cycle of even-index period quotients) that
     divides every even-index quotient, so q_{2i} mod A and hence
@@ -96,7 +99,7 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
     """
     if budget < 2:
         raise ValueError("budget must be >= 2")
-    report = CThetaReport(theta)
+    c_values = []
 
     if isinstance(theta, EventuallyPeriodic):
         n0 = len(theta.preperiod)
@@ -104,7 +107,7 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
         i = 0
         while 2 * i < n0:
             _, q2i = theta.convergent_pair(2 * i)
-            report.c_values.append((i, math.gcd(q2i, _tail_gcd(theta, 2 * i + 2))))
+            c_values.append((i, math.gcd(q2i, _tail_gcd(theta, 2 * i + 2))))
             i += 1
         # Past the preperiod A divides every a_{2i+2}, so q_{2i+2} ≡ q_{2i}
         # ≡ Q (mod A) and c_i = gcd(Q, A) from here on, while q_{2i+1} mod A
@@ -117,9 +120,8 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
         S = sum(theta.quotient(2 * j + 3) for j in range(i, i + ell))
         c = math.gcd(Q, A)
         L = ell * A // math.gcd(A, Q * S)
-        report.c_values.extend((j, c) for j in range(i, i + L + 1))
-        report.status = Stabilized(c)
-        return report
+        c_values.extend((j, c) for j in range(i, i + L + 1))
+        return CThetaReport(theta, c_values, Stabilized(c))
 
     # Finite prefix: fold everything available up to the budget.  Entries
     # that would fold no quotient at all (bare q_{2i}) are not evidence and
@@ -137,11 +139,10 @@ def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
         g = q2i
         for j in range(2 * i + 2, top_even + 1, 2):
             g = math.gcd(g, theta.quotient(j))
-        report.c_values.append((i, g))
+        c_values.append((i, g))
         last = g
         i += 1
-    report.status = LowerBoundOnly(last)
-    return report
+    return CThetaReport(theta, c_values, LowerBoundOnly(last))
 
 
 def d_chain(theta: IrrationalNumber, n: int) -> list:
@@ -152,6 +153,8 @@ def d_chain(theta: IrrationalNumber, n: int) -> list:
     consecutive denominators — is cross-checked on every entry, also under
     ``python -O``.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     out = []
     for i in range(n):
         _, q2i = theta.convergent_pair(2 * i)

@@ -14,7 +14,7 @@ import math
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnsupportedObject
-from .exact import MutableValue, ReducedFraction
+from .exact import ReducedFraction, Value
 from .farey import FareyDiagram, FareyTree, FareyTriangle, RollerCoaster, TreeNode
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -30,22 +30,25 @@ _DEFAULT_STYLE = {
 }
 
 
-class RenderSpec(MutableValue):
-    """What to draw and how big; ``style`` overrides the default palette."""
+class RenderSpec(Value):
+    """How to draw and how big; ``style`` overrides the default palette.
 
-    __slots__ = ("model", "depth", "highlight", "size_px", "style")
+    ``model`` (the disc or the upper half plane) and ``highlight`` (a diagram
+    whose triangles are filled) apply to tessellations; diagrams, trees and
+    roller coasters are drawn in their own frames.
+    """
 
-    def __init__(self, model: str = "disc", depth: int = 1, highlight: Optional[FareyDiagram] = None,
-                 size_px: int = 600, style: Optional[dict] = None):
+    __slots__ = ("model", "highlight", "size_px", "style")
+
+    def __init__(self, model: str = "disc", highlight: Optional[FareyDiagram] = None, size_px: int = 600,
+                 style: Optional[dict] = None):
         if model not in ("disc", "upper_half"):
             raise ValueError("model must be 'disc' or 'upper_half'")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         if size_px < 64:
             raise ValueError("size_px must be >= 64")
         merged = dict(_DEFAULT_STYLE)
         merged.update(style or {})
-        self._init(model, depth, highlight, size_px, merged)
+        self._init(model, highlight, size_px, merged)
 
 
 def _fmt(v: float) -> str:
@@ -150,12 +153,12 @@ def _tessellation_edges(depth: int):
     return edges
 
 
-def _render_tessellation(spec: RenderSpec) -> str:
+def _render_tessellation(spec: RenderSpec, depth: int) -> str:
     if spec.model == "upper_half":
-        return _render_upper_half(spec)
+        return _render_upper_half(spec, depth)
     highlight = spec.highlight.triangles if spec.highlight is not None else ()
     return _render_disc(
-        spec, [tri for tri, _kind in highlight], _tessellation_edges(spec.depth)
+        spec, [tri for tri, _kind in highlight], _tessellation_edges(depth)
     )
 
 
@@ -186,7 +189,7 @@ def _render_disc(
     return _svg_document(body, spec.size_px, "-1.1 -1.1 2.2 2.2")
 
 
-def _render_upper_half(spec: RenderSpec) -> str:
+def _render_upper_half(spec: RenderSpec, depth: int) -> str:
     """Same fence in the upper half plane: semicircles plus verticals."""
     style = spec.style
     top = 2.5
@@ -195,7 +198,7 @@ def _render_upper_half(spec: RenderSpec) -> str:
         f'fill="{style["background"]}"/>',
     ]
     sw = style["stroke_width"] * 2
-    for a, b in _tessellation_edges(spec.depth):
+    for a, b in _tessellation_edges(depth):
         if a.is_infinite or b.is_infinite:
             x = float(b if a.is_infinite else a)
             body.append(
@@ -341,7 +344,7 @@ def render_svg(
     if isinstance(obj, int):
         if obj < 1:
             raise ValueError("tessellation depth must be >= 1")
-        return _render_tessellation(RenderSpec(spec.model, obj, spec.highlight, spec.size_px, spec.style))
+        return _render_tessellation(spec, obj)
     if isinstance(obj, FareyDiagram):
         return _render_diagram(spec, obj)
     if isinstance(obj, FareyTree):

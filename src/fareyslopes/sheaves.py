@@ -15,7 +15,7 @@ constructed.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import TolTooTight
@@ -678,6 +678,8 @@ def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomR
     reported when available).  ``depth`` truncates the kernel factor list
     of the SES case; ``budget`` feeds the c(theta) computation.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if isinstance(x, StableClass) and isinstance(y, StableClass):
         return _classify_stable_pair(x, y)
     if isinstance(x, StableClass):
@@ -698,25 +700,17 @@ def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomR
 # images of maps between limit objects
 
 
-def farey_type_image(
-    theta: IrrationalNumber,
-    theta_prime: IrrationalNumber,
-    via: Sequence[IrrationalNumber] = (),
-) -> StableClass:
-    """Stable class of the image of a nonzero composite map from the
-    plus-side limit at theta to the minus-side colimit at theta_prime,
-    factored through the listed intermediate slopes.
+def farey_type_image(theta: IrrationalNumber, theta_prime: IrrationalNumber) -> StableClass:
+    """Stable class of the image of a nonzero map from the plus-side limit
+    at theta to the minus-side colimit at theta_prime, for theta < theta_prime.
 
-    The chain theta < via[0] < ... < theta_prime must strictly increase.
     The image class is the minimal-denominator slope of the open interval
-    (theta, theta_prime); refining the chain does not change it.
+    (theta, theta_prime).
     """
     from .farey import bottom, slope_lt
 
-    points = [theta, *via, theta_prime]
-    for a, b in zip(points, points[1:]):
-        if not slope_lt(a, b):
-            raise ValueError("slopes along the chain must strictly increase")
+    if not slope_lt(theta, theta_prime):
+        raise ValueError("slopes along the chain must strictly increase")
     return StableClass.from_fraction(bottom(theta, theta_prime))
 
 

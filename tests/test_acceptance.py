@@ -262,10 +262,10 @@ def test_criterion_09_cutting_calibration():
 
 def test_criterion_10_renderer():
     with criterion(10, "geodesics orthogonal to the boundary, stable bytes", 5):
-        svg = render_svg(RenderSpec(depth=6), 6)
+        svg = render_svg(RenderSpec(), 6)
         worst, count = orthogonality_worst(svg)
         assert count > 300 and worst < 1e-6
-        assert render_svg(RenderSpec(depth=6), 6) == svg
+        assert render_svg(RenderSpec(), 6) == svg
         diag = farey_diagram(golden, F(1, 0), 6)
         svg_d = render_svg(RenderSpec(), diag)
         worst_d, _ = orthogonality_worst(svg_d)

@@ -68,6 +68,7 @@ def test_from_string_round_trip():
         assert IrrationalNumber.from_string(str(theta)) == theta
     assert IrrationalNumber.from_string("[1;(1)]") == golden
     assert IrrationalNumber.from_string("[0;2,(1,3)]") == EventuallyPeriodic((0, 2), (1, 3))
+    assert IrrationalNumber.from_string("[1; 2 , ( 3 ) ]") == EventuallyPeriodic((1, 2), (3,))
     with pytest.raises(ValueError):
         IrrationalNumber.from_string("1;(1)")
     with pytest.raises(ValueError):

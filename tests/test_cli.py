@@ -240,15 +240,23 @@ def test_closed_stdout_exits_two_without_a_traceback():
     assert "Traceback" not in err and err.startswith("error:") and err.count("\n") == 1, err
 
 
-# malformed calls, at least one per group: (exit code, argv)
+# malformed calls, at least one per group: (exit code, argv[, the error line's message])
 _BAD_INPUT = [
-    (2, "cf convergents '[1;x]'"),
+    (2, "cf convergents '[1;x]'", "not a continued fraction: '[1;x]'"),
+    (2, "cf convergents '[1;()]'", "not a continued fraction: '[1;()]'"),
+    (2, "cf convergents '[1;(1,)]'", "not a continued fraction: '[1;(1,)]'"),
+    (2, "cf convergents '[1;1,,2]'", "not a continued fraction: '[1;1,,2]'"),
+    (2, "cf convergents '[1;(1)(2)]'", "not a continued fraction: '[1;(1)(2)]'"),
+    (2, "cf convergents '[1;2,(3),4]'", "not a continued fraction: '[1;2,(3),4]'"),
+    (2, "cf convergents '[1;(0)]'", "partial quotients a_i must be >= 1 for i >= 1"),
+    (2, "cf dchain '[1;(1)]' -n -1", "n must be >= 0"),
     (2, "cf construct --seed 1,1,4 --depth 2"),
     (2, "cf semiconvergents '[1;(1)]' -n -2"),
     (2, "farey bottom '[1;(1)]' garbage"),
     (2, "farey tree '[1;(1)]' 2/1 --depth 17"),
     (2, "sheaf hom 2/4 1/1"),
     (2, "sheaf kclass '[0;(1000000)]' --depth 400"),  # an int past str()'s 4300-digit limit
+    (2, "sheaf classify '[1;(1)]-' '[1;(1)]+' --depth -3", "depth must be >= 0"),
     (2, "divide rank '[1;(1)]' 2/1 1/0 1/10"),  # a zero denominator once escaped as ZeroDivisionError
     (2, "divide rank '[1;(1)]' 2/1 1/5 inf"),
     (2, "divide beads '[1;(1)]' 2/1 '(0,0)' '(2,-3)'"),
@@ -257,15 +265,21 @@ _BAD_INPUT = [
     (2, "render svg diagram"),
     (3, "render svg coaster --theta '[1;1,1]' --depth 6"),
     (3, "divide points '[1;1]' 2/1 --depth 3"),
+    # equal prefixes may stand for distinct slopes, as in farey bottom
+    (3, "farey diagram '[1;2]' '[1;2]'"),
+    (3, "render svg diagram --theta '[1;2]' --far '[1;2]'"),
+    (3, "render svg tessellation --theta '[1;2]' --far '[1;2]'"),
 ]
 
 
 def test_bad_input_exits_two(capsys):
     # main turns every one into an exit code and one error line, nothing on stdout
-    for want, argv in _BAD_INPUT:
+    for want, argv, *message in _BAD_INPUT:
         code, out, err = run(capsys, *shlex.split(argv))
         assert (code, out) == (want, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        if message:
+            assert err == f"error: {message[0]}\n", argv
 
 
 def test_precision_exhausted_exits_three(capsys):

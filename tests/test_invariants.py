@@ -161,6 +161,12 @@ def test_d_chain_golden():
     assert d_chain(golden, 6) == [1] * 6
 
 
+def test_d_chain_rejects_a_negative_n():
+    assert d_chain(golden, 0) == []
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        d_chain(golden, -1)
+
+
 def test_d_chain_matches_denominator_gcd():
     rng = random.Random(12)
     for _ in range(40):

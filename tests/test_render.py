@@ -47,7 +47,7 @@ def _disk_point(fr):
 
 
 def test_depth_one_fence():
-    svg1 = render_svg(RenderSpec(depth=1), 1)
+    svg1 = render_svg(RenderSpec(), 1)
     pt = {str(fr): _disk_point(fr) for fr in (F(0, 1), F(1, 1), F(1, 0))}
     assert f'{pt["1/0"][0]!r} {pt["1/0"][1]!r}' == "0.0 -1.0"
     for a, b in (("0/1", "1/1"), ("0/1", "1/0"), ("1/1", "1/0")):
@@ -62,16 +62,16 @@ def test_depth_one_fence():
 
 
 def test_depth_six_tessellation():
-    svg6 = render_svg(RenderSpec(depth=6), 6)
+    svg6 = render_svg(RenderSpec(), 6)
     w6, n6 = orthogonality_worst(svg6)
     assert n6 > 300
     assert w6 < 1e-6
-    assert render_svg(RenderSpec(depth=6), 6) == svg6
+    assert render_svg(RenderSpec(), 6) == svg6
 
 
 def test_highlighted_diagram_overlay():
     diag = farey_diagram(golden, F(1, 0), 6)
-    svg_h = render_svg(RenderSpec(depth=6, highlight=diag), 6)
+    svg_h = render_svg(RenderSpec(highlight=diag), 6)
     assert svg_h.count('class="face"') == len(diag.triangles)
     wh, _ = orthogonality_worst(svg_h)
     assert wh < 1e-6
@@ -100,7 +100,7 @@ def test_coaster_render():
 
 
 def test_upper_half_model():
-    svg_u = render_svg(RenderSpec(model="upper_half", depth=3), 3)
+    svg_u = render_svg(RenderSpec(model="upper_half"), 3)
     assert 'data-kind="semicircle"' in svg_u
     assert 'data-kind="vertical"' in svg_u
 
@@ -108,8 +108,8 @@ def test_upper_half_model():
 def test_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(model="poincare")
-    with pytest.raises(ValueError):
-        RenderSpec(depth=0)
+    with pytest.raises(ValueError, match="^tessellation depth must be >= 1$"):
+        render_svg(RenderSpec(), 0)
     with pytest.raises(ValueError):
         RenderSpec(size_px=32)
 

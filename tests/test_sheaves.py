@@ -270,34 +270,21 @@ def test_hom_classify_limit_objects():
     assert r.verdict == UNKNOWN and r.hom is None
 
 
+def test_hom_classify_rejects_a_negative_depth():
+    mg, pg = LimitObjectDescriptor(golden, MINUS), LimitObjectDescriptor(golden, PLUS)
+    assert hom_classify(mg, pg, depth=0).kernel_factors == ()
+    for x, y in ((mg, pg), (O(0, 1), O(1, 1))):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            hom_classify(x, y, depth=-3)
+
+
 # -- images -------------------------------------------------------------------------
 
 
 def test_farey_type_image():
     assert farey_type_image(sqrt2, sqrt3) == O(3, 2)
-    # refinement invariance: inserting a compatible slope changes nothing
-    assert farey_type_image(sqrt2, sqrt3, via=(golden,)) == O(3, 2)
-    with pytest.raises(ValueError):
-        farey_type_image(sqrt2, sqrt3, via=(EventuallyPeriodic((9,), (1,)),))
-
-
-def test_farey_type_image_refinement_sweep():
-    rng = random.Random(25)
-    done = 0
-    while done < 20:
-        t1, t2 = random_theta(rng), random_theta(rng)
-        if t1 == t2:
-            continue
-        from fareyslopes.farey import slope_lt
-
-        if not slope_lt(t1, t2):
-            t1, t2 = t2, t1
-        base = farey_type_image(t1, t2)
-        # any slope strictly between the ends is a compatible refinement
-        mid = random_theta(rng)
-        if slope_lt(t1, mid) and slope_lt(mid, t2):
-            assert farey_type_image(t1, t2, via=(mid,)) == base
-            done += 1
+    with pytest.raises(ValueError, match="^slopes along the chain must strictly increase$"):
+        farey_type_image(sqrt3, sqrt2)
 
 
 def test_witness_image_chain():
