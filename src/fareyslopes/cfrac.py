@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import Union
 
 from .errors import PrecisionExhausted
 from .exact import ReducedFraction, Value
@@ -41,12 +42,11 @@ def _minimal_period(period):
     for d in range(1, n + 1):
         if n % d == 0 and period == period[: d] * (n // d):
             return period[:d]
-    return period  # unreachable
 
 
 class IrrationalNumber:
     """Base class; use EventuallyPeriodic or FinitePrefix.  Each instance keeps its own memo of
-    convergents, splits and division trees; these point back to it, so only the cyclic GC frees them."""
+    convergents, splits and division trees; the trees point back to it, so only the cyclic GC frees them."""
 
     def quotient(self, i: int) -> int:
         raise NotImplementedError
@@ -171,10 +171,12 @@ class IrrationalNumber:
             if rest:
                 pm = re.match(r"^(.*?)\(\s*([^()]*)\s*\)\s*$", rest)
                 if pm:
-                    head, tail = pm.group(1).strip().rstrip(","), pm.group(2)
-                    if head:
-                        pre += [int(t) for t in head.split(",")]
-                    period = [int(t) for t in tail.split(",")]
+                    # a preperiod before "(" ends in exactly one comma
+                    *head, end = pm.group(1).split(",")
+                    if end.strip():
+                        raise ValueError
+                    pre += [int(t) for t in head]
+                    period = [int(t) for t in pm.group(2).split(",")]
                 else:
                     pre += [int(t) for t in rest.split(",")]
         except ValueError:
@@ -372,6 +374,56 @@ def compare_irrationals(x: IrrationalNumber, y: IrrationalNumber) -> int:
     """Exact order of two distinct irrationals: +1 when x > y, −1 when x < y,
     decided at the first index where their quotients differ."""
     return _first_difference(x, y)[0]
+
+
+Slope = Union[ReducedFraction, IrrationalNumber]
+
+
+def slope_lt(a: Slope, b: Slope) -> bool:
+    """Exact a < b on the real line (infinity greatest), any kinds.
+
+    Two irrationals are ordered by their first differing partial quotient
+    a_k, b_k: a < b when a_k < b_k at even k and when a_k > b_k at odd k.
+    Equal irrationals raise ValueError.
+    """
+    if isinstance(a, ReducedFraction):
+        if isinstance(b, ReducedFraction):
+            return a < b
+        return compare_theta_rational(b, a) == GREATER
+    if isinstance(b, ReducedFraction):
+        return compare_theta_rational(a, b) == LESS
+    return compare_irrationals(a, b) == LESS
+
+
+def _slopes_equal(a: Slope, b: Slope) -> bool:
+    """a == b where equality is decided: never for a FinitePrefix."""
+    if isinstance(a, FinitePrefix) or isinstance(b, FinitePrefix):
+        return False
+    return isinstance(a, ReducedFraction) == isinstance(b, ReducedFraction) and a == b
+
+
+def _require_distinct(a: Slope, b: Slope) -> None:
+    """PrecisionExhausted when a FinitePrefix agrees with the other
+    irrational on every known quotient, so the two may be equal."""
+    if isinstance(a, ReducedFraction) or isinstance(b, ReducedFraction):
+        return
+    if isinstance(a, FinitePrefix) or isinstance(b, FinitePrefix):
+        common_prefix(a, b)
+
+
+def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction:
+    """The unique simplest fraction strictly between theta and theta2.
+
+    Smallest denominator, ties broken toward the smaller fraction.  With k
+    the first index where the partial quotients a_k, b_k differ, it is the
+    common prefix followed by min(a_k, b_k) + 1: [a0; a1, ..., a_{k-1},
+    min(a_k, b_k) + 1] (for k = 0 the integer min(a0, b0) + 1).  Requires
+    theta < theta2.
+    """
+    order, k, low = _first_difference(theta, theta2)
+    if order != LESS:
+        raise ValueError("need theta < theta2")
+    return semiconvergent(theta, k - 2, low + 1) if k else ReducedFraction(low + 1, 1)
 
 
 # -- convergent and semiconvergent tables -----------------------------------

@@ -10,8 +10,8 @@ row longer than that.
 
 This module imports only what the cf group uses (errors, exact, cfrac and
 invariants).  Every other handler imports its modules when it runs: farey
-for the farey group, farey and render for render, sheaves (which loads
-invariants, and farey only for some commands on limit objects) for sheaf, and
+for the farey group, farey and render for render, sheaves for sheaf (it
+compares slopes with cfrac, so no sheaf command loads farey or lattice), and
 division (which loads all but render) for divide.
 """
 
@@ -28,9 +28,7 @@ from .errors import FareySlopesError, PrecisionExhausted
 from .exact import ReducedFraction
 
 # bench/tracer.py indexes sys.modules["fareyslopes.invariants"] in every CLI call
-from .invariants import (
-    LowerBoundOnly, Stabilized, c_theta, construct_special_theta, d_chain, special_conditions_hold,
-)
+from .invariants import Stabilized, c_theta, construct_special_theta, d_chain, special_conditions_hold
 
 if TYPE_CHECKING:  # the handlers import these, so a subcommand loads only its modules
     from .lattice import ThetaLatticeElement
@@ -103,9 +101,7 @@ def _parse_point(text: str, theta: IrrationalNumber) -> ThetaLatticeElement:
 def _status_dict(status) -> dict:
     if isinstance(status, Stabilized):
         return {"kind": "stabilized", "c": status.c}
-    if isinstance(status, LowerBoundOnly):
-        return {"kind": "lower_bound_only", "last": status.last}
-    return {"kind": type(status).__name__.lower()}
+    return {"kind": "lower_bound_only", "last": status.last}
 
 
 # --------------------------------------------------------------------------
@@ -373,10 +369,9 @@ def _cmd_render_svg(args):
         obj = _render_object(args)
     elif args.theta is not None and args.far is not None:
         highlight = farey_diagram(_parse_theta(args.theta), _parse_slope(args.far), depth)
-    spec = RenderSpec(args.model, highlight, args.size, style)
     if args.format == "json":
         return obj if isinstance(obj, int) else obj.to_dict()
-    svg = render_svg(spec, obj)
+    svg = render_svg(RenderSpec(args.model, highlight, args.size, style), obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)

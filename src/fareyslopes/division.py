@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
 from .errors import NotDivisionPoint, TolTooTight
 from .exact import ReducedFraction, Value, _setters
-from .farey import left_right_vertices
+from .farey import _split
 from .lattice import ThetaLatticeElement, theta_norm
 from .sheaves import SheafClass, StableClass
 
@@ -107,8 +107,7 @@ def divide(iv: DivisionInterval) -> Tuple[DivisionInterval, DivisionInterval]:
     parent's norm lift is the signed difference of the children's), so the
     right child ends where the parent does.  |l1|_theta comes with the split.
     """
-    l1, r1 = left_right_vertices(iv.theta, iv.vertex)
-    a, (m, n) = iv.a, iv.theta._splits[iv.vertex][1]
+    a, ((l1, r1), (m, n)) = iv.a, _split(iv.theta, iv.vertex)
     return DivisionInterval(a, l1), DivisionInterval(ThetaLatticeElement(a.m + m, a.n + n, a.theta), r1)
 
 

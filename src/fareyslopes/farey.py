@@ -19,25 +19,22 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 from .cfrac import (
-    GREATER,
-    LESS,
-    FinitePrefix,
     IrrationalNumber,
-    _first_difference,
+    Slope,
+    _require_distinct,
+    _slopes_equal,
+    bottom,
     common_prefix,
-    compare_irrationals,
-    compare_theta_rational,
     semiconvergent,
     semiconvergents,
+    slope_lt,
 )
 from .errors import NoPath
 from .exact import ReducedFraction, Value
 from .lattice import norm_to_fraction, theta_norm, ThetaLatticeElement
-
-Slope = Union[ReducedFraction, IrrationalNumber]
 
 __all__ = [
     "FareyTriangle",
@@ -57,26 +54,6 @@ __all__ = [
     "roller_coaster",
     "shortest_path_bundle",
 ]
-
-
-# --------------------------------------------------------------------------
-# exact comparisons across fraction / slope kinds
-
-
-def slope_lt(a: Slope, b: Slope) -> bool:
-    """Exact a < b on the real line (infinity greatest), any kinds.
-
-    Two irrationals are ordered by their first differing partial quotient
-    a_k, b_k: a < b when a_k < b_k at even k and when a_k > b_k at odd k.
-    Equal irrationals raise ValueError.
-    """
-    if isinstance(a, ReducedFraction):
-        if isinstance(b, ReducedFraction):
-            return a < b
-        return compare_theta_rational(b, a) == GREATER
-    if isinstance(b, ReducedFraction):
-        return compare_theta_rational(a, b) == LESS
-    return compare_irrationals(a, b) == LESS
 
 
 # --------------------------------------------------------------------------
@@ -149,8 +126,13 @@ def left_right_vertices(
     value window (0, value(|r|)), with k - 1 = floor(-x / |r|) read off
     theta's quotients by `IrrationalNumber.floor_ratio`.  A FinitePrefix
     that cannot decide that floor, or the signs `norm_to_fraction` checks,
-    raises PrecisionExhausted.  theta keeps each split, with |l1| = x as (m, n).
+    raises PrecisionExhausted.
     """
+    return _split(theta, r)[0]
+
+
+def _split(theta: IrrationalNumber, r: ReducedFraction) -> tuple:
+    """((l1, r1), (m, n)) with |l1| = m*theta + n, kept by theta per r."""
     split = theta._splits.get(r)
     if split is None:
         w = theta_norm(r, theta)
@@ -160,7 +142,7 @@ def left_right_vertices(
         x = ThetaLatticeElement(-t, s, theta)
         x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
         split = theta._splits[r] = (norm_to_fraction(x), norm_to_fraction(w - x)), (x.m, x.n)
-    return split[0]
+    return split
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -527,41 +509,6 @@ def theta_product(r1: Slope, r2: Slope, theta: IrrationalNumber) -> Slope:
             return ReducedFraction(*step[1])
     step = _leave(*_frame(*edge, theta), theta, r2)
     return r1 if step is None else ReducedFraction(*step[0])
-
-
-def _slopes_equal(a: Slope, b: Slope) -> bool:
-    """a == b where equality is decided: never for a FinitePrefix."""
-    if isinstance(a, FinitePrefix) or isinstance(b, FinitePrefix):
-        return False
-    return isinstance(a, ReducedFraction) == isinstance(b, ReducedFraction) and a == b
-
-
-def _require_distinct(a: Slope, b: Slope) -> None:
-    """PrecisionExhausted when a FinitePrefix agrees with the other
-    irrational on every known quotient, so the two may be equal."""
-    if isinstance(a, ReducedFraction) or isinstance(b, ReducedFraction):
-        return
-    if isinstance(a, FinitePrefix) or isinstance(b, FinitePrefix):
-        common_prefix(a, b)
-
-
-# --------------------------------------------------------------------------
-# bottom of an interval
-
-
-def bottom(theta: IrrationalNumber, theta2: IrrationalNumber) -> ReducedFraction:
-    """The unique simplest fraction strictly between theta and theta2.
-
-    Smallest denominator, ties broken toward the smaller fraction.  With k
-    the first index where the partial quotients a_k, b_k differ, it is the
-    common prefix followed by min(a_k, b_k) + 1: [a0; a1, ..., a_{k-1},
-    min(a_k, b_k) + 1] (for k = 0 the integer min(a0, b0) + 1).  Requires
-    theta < theta2.
-    """
-    order, k, low = _first_difference(theta, theta2)
-    if order != LESS:
-        raise ValueError("need theta < theta2")
-    return semiconvergent(theta, k - 2, low + 1) if k else ReducedFraction(low + 1, 1)
 
 
 # --------------------------------------------------------------------------

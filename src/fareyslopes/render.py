@@ -35,7 +35,8 @@ class RenderSpec(Value):
 
     ``model`` (the disc or the upper half plane) and ``highlight`` (a diagram
     whose triangles are filled) apply to tessellations; diagrams, trees and
-    roller coasters are drawn in their own frames.
+    roller coasters are drawn in their own frames.  Only the disc draws a
+    highlight, and only tessellations can be drawn in the upper half plane.
     """
 
     __slots__ = ("model", "highlight", "size_px", "style")
@@ -44,6 +45,8 @@ class RenderSpec(Value):
                  style: Optional[dict] = None):
         if model not in ("disc", "upper_half"):
             raise ValueError("model must be 'disc' or 'upper_half'")
+        if model == "upper_half" and highlight is not None:
+            raise ValueError("the upper half plane model draws no highlight")
         if size_px < 64:
             raise ValueError("size_px must be >= 64")
         merged = dict(_DEFAULT_STYLE)
@@ -345,6 +348,8 @@ def render_svg(
         if obj < 1:
             raise ValueError("tessellation depth must be >= 1")
         return _render_tessellation(spec, obj)
+    if spec.model == "upper_half":
+        raise ValueError("the upper half plane model draws tessellations only")
     if isinstance(obj, FareyDiagram):
         return _render_diagram(spec, obj)
     if isinstance(obj, FareyTree):

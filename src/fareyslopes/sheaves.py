@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple, Union
 
-from .cfrac import GREATER, LESS, IrrationalNumber, compare_theta_rational
+from .cfrac import GREATER, LESS, IrrationalNumber, _slopes_equal, bottom, compare_theta_rational, slope_lt
 from .errors import TolTooTight
 from .exact import ReducedFraction, Value
 from .invariants import Stabilized, bounded_quotients, c_theta
@@ -617,23 +617,18 @@ def _classify_minus_to_stable(x: LimitObjectDescriptor, y: StableClass) -> HomRe
 def _classify_minus_limit(
     x: LimitObjectDescriptor, y: LimitObjectDescriptor, depth: int, budget: int
 ) -> HomReport:
-    from .farey import _slopes_equal, slope_lt
-
     # finite prefixes are never equal: slope_lt raises PrecisionExhausted
     if _slopes_equal(x.theta, y.theta) and y.side == MINUS:
-        report = c_theta(x.theta, budget)
-        bound = (
-            report.status.c ** 2 if isinstance(report.status, Stabilized) else None
-        )
+        report = endo_dim_bound(x, budget)
         return HomReport(
             x,
             y,
             FINITE_DIVISION_ALGEBRA_BOUND,
             clause="endomorphisms of the colimit embed in a division algebra "
             "of dimension c(theta)^2",
-            bound=bound,
+            bound=report.bound,
             ext1_zero=True,
-            c_chain=tuple(report.chain()),
+            c_chain=report.chain,
         )
     if _slopes_equal(x.theta, y.theta):
         factors = tuple(
@@ -707,8 +702,6 @@ def farey_type_image(theta: IrrationalNumber, theta_prime: IrrationalNumber) -> 
     The image class is the minimal-denominator slope of the open interval
     (theta, theta_prime).
     """
-    from .farey import bottom, slope_lt
-
     if not slope_lt(theta, theta_prime):
         raise ValueError("slopes along the chain must strictly increase")
     return StableClass.from_fraction(bottom(theta, theta_prime))
@@ -815,7 +808,7 @@ def witness_image_chain(
     from 8 while no level qualifies; past depth 4096 the search raises
     TolTooTight.
     """
-    from .farey import bottom, farey_diagram, slope_lt
+    from .farey import farey_diagram
 
     if not slope_lt(theta, theta_prime):
         raise ValueError("need theta < theta_prime")

@@ -192,12 +192,15 @@ _MAIN_THEN_FAREY = (
         ["cf", "ctheta", "[1;(2)]"],
         ["cf", "construct", "--depth", "3"],
         ["sheaf", "bound", "[1;(2)]"],
+        ["sheaf", "image", "[1;(2)]", "[1;(1)]"],
+        ["sheaf", "classify", "[1;(2)]-", "[1;(1)]+", "--depth", "4"],
+        ["sheaf", "classify", "[1;(2)]-", "[1;(2)]-"],
     ],
-    ids=lambda argv: " ".join(argv[:2]),
+    ids=" ".join,
 )
-def test_sheaf_chi_and_enumerate_skip_farey_invariants_and_dataclasses(capsys, argv):
-    # the CLI imports invariants for every call; none of these commands
-    # loads farey, lattice or dataclasses
+def test_sheaf_and_invariant_commands_skip_farey_lattice_and_dataclasses(capsys, argv):
+    # the CLI imports invariants for every call; none of these commands,
+    # limit objects included, loads farey, lattice or dataclasses
     done = _fresh("-c", _MAIN_THEN_FAREY, *argv)
     assert done.returncode == 0 and done.stderr == "[]\n"
     code, out, _ = run(capsys, *argv)
@@ -248,7 +251,12 @@ _BAD_INPUT = [
     (2, "cf convergents '[1;1,,2]'", "not a continued fraction: '[1;1,,2]'"),
     (2, "cf convergents '[1;(1)(2)]'", "not a continued fraction: '[1;(1)(2)]'"),
     (2, "cf convergents '[1;2,(3),4]'", "not a continued fraction: '[1;2,(3),4]'"),
+    (2, "cf convergents '[1;2,,(3)]'", "not a continued fraction: '[1;2,,(3)]'"),
+    (2, "cf convergents '[1;2,,,(3)]'", "not a continued fraction: '[1;2,,,(3)]'"),
+    (2, "cf convergents '[1;2(3)]'", "not a continued fraction: '[1;2(3)]'"),
+    (2, "cf convergents '[1;,(3)]'", "not a continued fraction: '[1;,(3)]'"),
     (2, "cf convergents '[1;(0)]'", "partial quotients a_i must be >= 1 for i >= 1"),
+    (2, "cf convergents '[1;-2]'", "partial quotients a_i must be >= 1 for i >= 1"),
     (2, "cf dchain '[1;(1)]' -n -1", "n must be >= 0"),
     (2, "cf construct --seed 1,1,4 --depth 2"),
     (2, "cf semiconvergents '[1;(1)]' -n -2"),
@@ -263,6 +271,15 @@ _BAD_INPUT = [
     (2, "divide ses '[1;(1)]' 2/1 '(0,0)' '(0,0)' '(-3,5)'"),
     (2, "render svg tessellation --depth 0"),
     (2, "render svg diagram"),
+    # the upper half plane draws plain tessellations only
+    (2, "render svg diagram --theta '[1;(1)]' --far 2/1 --model upper_half",
+     "the upper half plane model draws tessellations only"),
+    (2, "render svg tree --theta '[1;(1)]' --far 2/1 --model upper_half",
+     "the upper half plane model draws tessellations only"),
+    (2, "render svg coaster --theta '[1;(1)]' --model upper_half",
+     "the upper half plane model draws tessellations only"),
+    (2, "render svg tessellation --theta '[1;(1)]' --far 2/1 --model upper_half",
+     "the upper half plane model draws no highlight"),
     (3, "render svg coaster --theta '[1;1,1]' --depth 6"),
     (3, "divide points '[1;1]' 2/1 --depth 3"),
     # equal prefixes may stand for distinct slopes, as in farey bottom
@@ -459,6 +476,13 @@ def test_render_format_json(capsys):
     assert json.loads(out) == roller_coaster(golden, 3).to_dict()
 
 
+def test_render_format_json_prints_the_object_whatever_the_model(capsys):  # guard
+    argv = ["render", "svg", "coaster", "--theta", "[1;(1)]", "--depth", "3", "--format", "json"]
+    assert run(capsys, *argv, "--model", "upper_half") == run(capsys, *argv)
+    argv = ["render", "svg", "tessellation", "--theta", "[1;(1)]", "--far", "2/1", "--depth", "3", "--format", "json"]
+    assert run(capsys, *argv, "--model", "upper_half") == (0, "3\n", "")
+
+
 def test_render_config_styles(capsys, tmp_path):
     cfg = tmp_path / "style.cfg"
     cfg.write_text("# palette\nstroke=#ff0000\nstroke_width=2.5\n")
@@ -526,6 +550,10 @@ _OTHER_BYTES = {
     "sheaf minimal 0/1 2/1 1/0": (0, "bbd7aea1d7cf5ca454970a2cd966664b8d3090b9a0db3e9f1f3d298cbdafe9a2"),
     "sheaf bound '[1;(2)]'": (0, "a29e5e9a80ad0af5e609e0722824fb77105cfd27694136dbbd27c5bc1c1c8c29"),
     "sheaf image '[1;(2)]' '[1;(1)]'": (0, "dc483bb933a3e7a6ee12c09850cf6dd1ede5b97cfae5508aa31b2558a61a1de0"),
+    "sheaf classify '[1;(2)]-' '[1;(2)]-'": (0, "40e257e39ea64a58985e203bcca49b86127ad3ac31223691b3f798cde494b815"),
+    "sheaf classify '[1;(2)]-' '[1;(2)]+' --depth 3": (
+        0, "1056b432ab8f2f22000e1537f16b5740374f0372b97f48756a2f43e7eabe5402"
+    ),
     "sheaf multiplicity 3/2 1/1": (0, "7d08b4f9e31230d0b01ae4b7766636dd0fcd8f318c2ce5113f5a15a606d064a8"),
     "cf dchain '[1;(2)]' -n 4": (0, "18786dd9aa2a36f8a5ebed48f961fa5baa57121e2eed64fd941f41078a07edb2"),
     "cf ctheta '[1;2,3,4]'": (0, "77c3c8361fb6ba132bec636af4560693d72b877f0527f554bf6cd55b684b6d38"),

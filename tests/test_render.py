@@ -105,6 +105,16 @@ def test_upper_half_model():
     assert 'data-kind="vertical"' in svg_u
 
 
+def test_upper_half_model_draws_only_plain_tessellations():
+    diag = farey_diagram(golden, F(2, 1), 3)
+    with pytest.raises(ValueError, match="^the upper half plane model draws no highlight$"):
+        RenderSpec(model="upper_half", highlight=diag)
+    spec = RenderSpec(model="upper_half")
+    for obj in (diag, farey_tree(golden, F(2, 1), 2), roller_coaster(golden, 2)):
+        with pytest.raises(ValueError, match="^the upper half plane model draws tessellations only$"):
+            render_svg(spec, obj)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(model="poincare")
