@@ -45,8 +45,38 @@ def _minimal_period(period):
 
 
 class IrrationalNumber:
-    """Base class; use EventuallyPeriodic or FinitePrefix.  Each instance keeps its own memo of
-    convergents, splits and division trees; the trees point back to it, so only the cyclic GC frees them."""
+    """Base class; use EventuallyPeriodic or FinitePrefix.
+
+    The base holds the state and the contract.  Each instance keeps its own
+    memo of convergents, splits (fractions and ints only) and division trees;
+    the trees point back to it, so only the cyclic GC frees them.  A subclass
+    gives its constructor arguments as ``_args()``, and equality, hash,
+    pickling, repr, text and translation are derived from them here.
+    """
+
+    def __init__(self):
+        self._memo, self._splits, self._trees = [(1, 0)], {}, {}
+
+    def _args(self) -> tuple:
+        """The constructor arguments, as tuples; the first one starts with a₀."""
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._args() == other._args())
+
+    def __hash__(self):
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(str(list(arg)) for arg in self._args())})"
+
+    def translated(self, k: int) -> "IrrationalNumber":
+        """The slope theta + k: same quotients except a0 shifted by k."""
+        head, *rest = self._args()
+        return type(self)((head[0] + k,) + head[1:], *rest)
 
     def quotient(self, i: int) -> int:
         raise NotImplementedError
@@ -148,11 +178,13 @@ class IrrationalNumber:
         """Largest index i such that quotient(i) is known without error."""
         raise NotImplementedError
 
-    def translated(self, k: int) -> "IrrationalNumber":
-        """The slope theta + k: same quotients except a0 shifted by k."""
-        raise NotImplementedError
-
     # -- textual form --------------------------------------------------
+
+    def __str__(self):
+        """The form "[a0;a1,...]", with a period last as "(p1,...)", that ``from_string`` reads."""
+        head, *period = self._args()
+        rest = [str(a) for a in head[1:]] + ["(" + ",".join(str(a) for a in p) + ")" for p in period]
+        return f"[{head[0]};{','.join(rest)}]" if rest else f"[{head[0]}]"
 
     @staticmethod
     def from_string(text: str):
@@ -205,7 +237,7 @@ class EventuallyPeriodic(IrrationalNumber):
             period = [period[-1]] + period[:-1]
         self.preperiod = tuple(preperiod)
         self.period = tuple(period)
-        self._memo, self._splits, self._trees = [(1, 0)], {}, {}
+        super().__init__()
         # θ as a quadratic surd.  The purely periodic tail φ = [b₁; b₂, …]
         # solves φ = (pφ + p′)/(qφ + q′), so qφ² − (p − q′)φ − p′ = 0.  φ is
         # reduced (φ > 1, conjugate in (−1, 0)), hence
@@ -244,33 +276,8 @@ class EventuallyPeriodic(IrrationalNumber):
             return 1 if u > 0 else -1
         return (x > 0) - (x < 0)
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, EventuallyPeriodic)
-            and self.preperiod == other.preperiod
-            and self.period == other.period
-        )
-
-    def __hash__(self):
-        return hash((self.preperiod, self.period))
-
-    def __reduce__(self):
-        return EventuallyPeriodic, (self.preperiod, self.period)
-
-    def __str__(self):
-        a0, rest = self.preperiod[0], self.preperiod[1:]
-        inner = ",".join(str(a) for a in rest)
-        tail = "(" + ",".join(str(a) for a in self.period) + ")"
-        if inner:
-            return f"[{a0};{inner},{tail}]"
-        return f"[{a0};{tail}]"
-
-    def __repr__(self):
-        return f"EventuallyPeriodic({list(self.preperiod)}, {list(self.period)})"
-
-    def translated(self, k: int) -> "EventuallyPeriodic":
-        pre = (self.preperiod[0] + k,) + self.preperiod[1:]
-        return EventuallyPeriodic(pre, self.period)
+    def _args(self) -> tuple:
+        return self.preperiod, self.period
 
 
 class FinitePrefix(IrrationalNumber):
@@ -283,7 +290,7 @@ class FinitePrefix(IrrationalNumber):
         if any(a < 1 for a in quotients[1:]):
             raise ValueError("partial quotients a_i must be >= 1 for i >= 1")
         self.quotients = tuple(quotients)
-        self._memo, self._splits, self._trees = [(1, 0)], {}, {}
+        super().__init__()
 
     def quotient(self, i: int) -> int:
         if i < 0:
@@ -298,26 +305,8 @@ class FinitePrefix(IrrationalNumber):
     def available_depth(self) -> int:
         return len(self.quotients) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, FinitePrefix) and self.quotients == other.quotients
-
-    def __hash__(self):
-        return hash(self.quotients)
-
-    def __reduce__(self):
-        return FinitePrefix, (self.quotients,)
-
-    def __str__(self):
-        a0, rest = self.quotients[0], self.quotients[1:]
-        if rest:
-            return f"[{a0};" + ",".join(str(a) for a in rest) + "]"
-        return f"[{a0}]"
-
-    def __repr__(self):
-        return f"FinitePrefix({list(self.quotients)})"
-
-    def translated(self, k: int) -> "FinitePrefix":
-        return FinitePrefix((self.quotients[0] + k,) + self.quotients[1:])
+    def _args(self) -> tuple:
+        return (self.quotients,)
 
 
 # -- comparison ------------------------------------------------------------
@@ -329,14 +318,12 @@ LESS = -1
 def compare_theta_rational(theta: IrrationalNumber, r: ReducedFraction) -> int:
     """Exact order of θ against r ∈ ℚ∞: +1 when θ > r, −1 when θ < r.
 
-    For finite r = p/q (q > 0) this is the sign of qθ − p, read off
-    ``theta.lattice_sign``: closed form for EventuallyPeriodic θ, Gosper's
-    bracket otherwise.  Equality never occurs (θ is irrational).
-    For FinitePrefix sources a PrecisionExhausted escapes when the known
-    quotients do not decide.
+    This is the sign of qθ − p for r = p/q, read off ``theta.lattice_sign``:
+    closed form for EventuallyPeriodic θ, Gosper's bracket otherwise.  The
+    same formula gives θ < ∞ = 1/0, as the sign of −1.  Equality never
+    occurs (θ is irrational).  For FinitePrefix sources a PrecisionExhausted
+    escapes when the known quotients do not decide.
     """
-    if r.is_infinite:
-        return LESS  # θ < ∞ on the real line
     return theta.lattice_sign(r.q, -r.p)
 
 

@@ -352,6 +352,8 @@ def _render_object(args):
         if args.far is None:
             raise ValueError("render tree needs --far")
         return farey_tree(theta, _parse_fraction(args.far), args.depth)
+    if args.far is not None:
+        raise ValueError("render coaster takes no --far")
     return roller_coaster(theta, args.depth)
 
 
@@ -369,7 +371,11 @@ def _cmd_render_svg(args):
         obj = _render_object(args)
     elif args.theta is not None and args.far is not None:
         highlight = farey_diagram(_parse_theta(args.theta), _parse_slope(args.far), depth)
+    elif args.theta is not None or args.far is not None:
+        raise ValueError("render tessellation takes --theta and --far together")
     if args.format == "json":
+        if args.out:
+            raise ValueError("--out writes SVG; --format json prints to stdout")
         return obj if isinstance(obj, int) else obj.to_dict()
     svg = render_svg(RenderSpec(args.model, highlight, args.size, style), obj)
     if args.out:

@@ -121,9 +121,9 @@ def left_right_vertices(
 
     Characterized by: |l1| + |r1| = |r| in the theta-lattice, both norms
     positive and smaller than |r|, and the pairing chi(|l1|, |r|) = +1 (so
-    chi(|r1|, |r|) = -1).  The extended Euclidean algorithm gives one x
-    with chi(x, |r|) = 1; |l1| is its unique translate x + k*|r| in the
-    value window (0, value(|r|)), with k - 1 = floor(-x / |r|) read off
+    chi(|r1|, |r|) = -1).  A modular inverse gives one x with
+    chi(x, |r|) = 1; |l1| is its unique translate x + k*|r| in the value
+    window (0, value(|r|)), with k - 1 = floor(-x / |r|) read off
     theta's quotients by `IrrationalNumber.floor_ratio`.  A FinitePrefix
     that cannot decide that floor, or the signs `norm_to_fraction` checks,
     raises PrecisionExhausted.
@@ -136,28 +136,14 @@ def _split(theta: IrrationalNumber, r: ReducedFraction) -> tuple:
     split = theta._splits.get(r)
     if split is None:
         w = theta_norm(r, theta)
-        # theta_norm's lift is primitive, so the extended Euclid identity
-        # w.m*s + w.n*t = 1 gives chi(x, w) = w.m*s + w.n*t = 1 for x = (-t, s)
-        _, s, t = _xgcd(w.m, w.n)
-        x = ThetaLatticeElement(-t, s, theta)
+        # theta_norm's lift is primitive, so s = w.m^-1 mod w.n and
+        # t = (1 - w.m*s)/w.n give chi(x, w) = w.m*s + w.n*t = 1 for x = (-t, s);
+        # w.n = 0 only for r = 0, where w.m = ±1 and t = 0
+        s = pow(w.m, -1, w.n) if w.n else w.m
+        x = ThetaLatticeElement((w.m * s - 1) // (w.n or 1), s, theta)
         x = x + w.scaled(theta.floor_ratio(-x.m, -x.n, w.m, w.n) + 1)
         split = theta._splits[r] = (norm_to_fraction(x), norm_to_fraction(w - x)), (x.m, x.n)
     return split
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with a*s + b*t = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # --------------------------------------------------------------------------

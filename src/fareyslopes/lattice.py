@@ -99,11 +99,9 @@ def chi(x: ThetaLatticeElement, y: ThetaLatticeElement) -> int:
 def theta_norm(r: ReducedFraction, theta: IrrationalNumber) -> ThetaLatticeElement:
     """|p/q|_θ = |qθ − p| as the positive primitive lattice lift.
 
-    Returns (q, −p) when θ > p/q and (−q, p) when θ < p/q; the point ∞ = 1/0
-    always lifts to (0, 1) of value 1.
+    Returns (q, −p) when θ > p/q and (−q, p) when θ < p/q; the same rule
+    lifts ∞ = 1/0, which lies above θ, to (0, 1) of value 1.
     """
-    if r.is_infinite:
-        return ThetaLatticeElement(0, 1, theta)
     if compare_theta_rational(theta, r) == GREATER:
         return ThetaLatticeElement(r.q, -r.p, theta)
     return ThetaLatticeElement(-r.q, r.p, theta)
@@ -115,8 +113,6 @@ def norm_to_fraction(x: ThetaLatticeElement) -> ReducedFraction:
         raise ValueError("lattice element is not primitive")
     if x.sign() <= 0:
         raise ValueError("only positive elements are norms of fractions")
-    if x.m == 0:
-        return ReducedFraction(1, 0)
     # (q, −p) ↦ p/q and (−q, p) ↦ p/q collapse to ReducedFraction(−n, m),
-    # whose constructor normalises the sign of the denominator.
+    # whose constructor normalises the sign of the denominator; (0, 1) ↦ 1/0.
     return ReducedFraction(-x.n, x.m)

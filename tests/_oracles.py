@@ -16,6 +16,8 @@ from fareyslopes.cfrac import (
     GREATER,
     LESS,
     IrrationalNumber,
+    _require_distinct,
+    _slopes_equal,
     compare_irrationals,
     compare_theta_rational,
 )
@@ -364,11 +366,8 @@ def reference_diagram(theta: IrrationalNumber, far, depth: int) -> dict:
 def _toward_apex(u: ReducedFraction, v: ReducedFraction, toward):
     """Apex of the triangle over the edge (u, v) on the side holding
     `toward`: the mediant inside the interval, the difference outside."""
-    from fareyslopes.farey import _difference_vertex
-
-    if _inside(toward, *sorted((u, v))):
-        return u.mediant(v)
-    return _difference_vertex(u, v)
+    mediant, difference = _apexes(u, v)
+    return mediant if _inside(toward, *sorted((u, v))) else difference
 
 
 def _same_side(x, target, u: ReducedFraction, v: ReducedFraction) -> bool:
@@ -400,7 +399,7 @@ def theta_product_by_walk(r1, r2, theta):
     leaves r2 out, as the vertex that step dropped.  An irrational r1 first
     widens from its base edge toward r1 while r2 lies strictly on r1's
     side, and answers with the apex where that stops."""
-    from fareyslopes.farey import _base_edge, _require_distinct, _slopes_equal, left_right_vertices
+    from fareyslopes.farey import left_right_vertices
 
     if _slopes_equal(r1, r2):
         return r1
@@ -415,7 +414,7 @@ def theta_product_by_walk(r1, r2, theta):
         if not _same_side(r2, theta, *edge):
             return r1
     else:
-        edge = _base_edge(theta, r1)
+        edge = base_edge_descent(theta, r1)
         if not _same_side(r2, theta, *edge):
             for lower, upper, apex, _ in _walk(*edge, r1):
                 if _same_side(r2, theta, lower, upper):
@@ -440,12 +439,20 @@ def _convergent_past(theta: IrrationalNumber, q: int) -> tuple:
         return theta.convergent_pair(theta.available_depth())
 
 
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with a*s + b*t = g = gcd(a, b) >= 0, by recursion on
+    Euclid's remainders."""
+    if b == 0:
+        return abs(a), (a > 0) - (a < 0), 0
+    g, s, t = _xgcd(b, a % b)
+    return g, t, s - (a // b) * t
+
+
 def left_right_vertices_by_correction(theta: IrrationalNumber, r: ReducedFraction):
     """`left_right_vertices` by estimate and correction, for either kind of
     theta: the translate x + k*|r| is estimated with theta replaced by a
     convergent past r's denominator, then stepped by exact sign tests until
     it lies in (0, |r|)."""
-    from fareyslopes.farey import _xgcd
     from fareyslopes.lattice import ThetaLatticeElement, norm_to_fraction, theta_norm
 
     w = theta_norm(r, theta)

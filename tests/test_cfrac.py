@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 import sys
 import threading
@@ -73,6 +75,37 @@ def test_from_string_round_trip():
         IrrationalNumber.from_string("1;(1)")
     with pytest.raises(ValueError):
         IrrationalNumber.from_string("[]")
+
+
+# (slope, repr, str, pickle protocol 4, str after translated(-2))
+_SLOPE_FORMS = [
+    (EventuallyPeriodic((2, 3), (1, 4)), "EventuallyPeriodic([2, 3], [1, 4])", "[2;3,(1,4)]",
+     b"\x80\x04\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x11fareyslopes.cfrac\x94\x8c\x12EventuallyPeriodic"
+     b"\x94\x93\x94K\x02K\x03\x86\x94K\x01K\x04\x86\x94\x86\x94R\x94.", "[0;3,(1,4)]"),
+    (EventuallyPeriodic((0,), (5,)), "EventuallyPeriodic([0], [5])", "[0;(5)]",
+     b"\x80\x04\x958\x00\x00\x00\x00\x00\x00\x00\x8c\x11fareyslopes.cfrac\x94\x8c\x12EventuallyPeriodic"
+     b"\x94\x93\x94K\x00\x85\x94K\x05\x85\x94\x86\x94R\x94.", "[-2;(5)]"),
+    (FinitePrefix((7,)), "FinitePrefix([7])", "[7]",
+     b"\x80\x04\x95.\x00\x00\x00\x00\x00\x00\x00\x8c\x11fareyslopes.cfrac\x94\x8c\x0cFinitePrefix"
+     b"\x94\x93\x94K\x07\x85\x94\x85\x94R\x94.", "[5]"),
+    (FinitePrefix((-1, 2, 3)), "FinitePrefix([-1, 2, 3])", "[-1;2,3]",
+     b"\x80\x04\x955\x00\x00\x00\x00\x00\x00\x00\x8c\x11fareyslopes.cfrac\x94\x8c\x0cFinitePrefix"
+     b"\x94\x93\x94J\xff\xff\xff\xffK\x02K\x03\x87\x94\x85\x94R\x94.", "[-3;2,3]"),
+]
+
+
+def test_slope_forms_are_pinned():  # guard
+    for theta, text_repr, text, pickled, translated in _SLOPE_FORMS:
+        assert (repr(theta), str(theta)) == (text_repr, text)
+        assert pickle.dumps(theta, protocol=4) == pickled
+        assert pickle.loads(pickled) == theta and hash(pickle.loads(pickled)) == hash(theta)
+        assert str(theta.translated(-2)) == translated
+        assert IrrationalNumber.from_string(str(theta)) == theta
+    for (x, *_), (y, *_) in itertools.product(_SLOPE_FORMS, repeat=2):
+        assert (x == y) == (x is y)
+    # the same quotients, read as a period or as a prefix, are different slopes
+    assert EventuallyPeriodic((0,), (5,)) != FinitePrefix((0, 5, 5))
+    assert FinitePrefix((0, 5, 5)) != EventuallyPeriodic((0,), (5,))
 
 
 # -- convergents -------------------------------------------------------------

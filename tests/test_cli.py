@@ -280,6 +280,12 @@ _BAD_INPUT = [
      "the upper half plane model draws tessellations only"),
     (2, "render svg tessellation --theta '[1;(1)]' --far 2/1 --model upper_half",
      "the upper half plane model draws no highlight"),
+    # --theta and --far are not dropped without a word
+    (2, "render svg tessellation --depth 2 --theta '[1;(1)]'",
+     "render tessellation takes --theta and --far together"),
+    (2, "render svg tessellation --depth 2 --far 2/1",
+     "render tessellation takes --theta and --far together"),
+    (2, "render svg coaster --theta '[1;(1)]' --far 2/1", "render coaster takes no --far"),
     (3, "render svg coaster --theta '[1;1,1]' --depth 6"),
     (3, "divide points '[1;1]' 2/1 --depth 3"),
     # equal prefixes may stand for distinct slopes, as in farey bottom
@@ -457,6 +463,15 @@ def test_render_to_file(capsys, tmp_path):
     data = out_file.read_bytes()
     assert payload["bytes"] == len(data)
     assert data.startswith(b"<svg")
+
+
+def test_render_format_json_writes_no_file(capsys, tmp_path):
+    out_file = tmp_path / "x.svg"
+    argv = ["render", "svg", "diagram", "--theta", "[1;(1)]", "--far", "2/1", "--format", "json"]
+    assert run(capsys, *argv, "--out", str(out_file)) == (
+        2, "", "error: --out writes SVG; --format json prints to stdout\n"
+    )
+    assert not out_file.exists()
 
 
 def test_render_stdout_determinism(capsys):
