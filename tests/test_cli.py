@@ -582,6 +582,12 @@ _OTHER_BYTES = {
     "render svg tessellation --theta '[1;(1)]' --far 2/1 --depth 3 --size 64": (
         0, "1b3554529a80ed86f0d9a6717526385a42caf0689b2285c89c68ea2703901953"
     ),
+    "cf semiconvergents '[1;(2)]' -n 1": (0, "bee632722ccf0621718b94cd180bcfad9399463caf82d9868fab9c1bde8af780"),
+    "farey tree '[1;(1)]' 2/1 --depth 2": (0, "ab53d7494d320b450c38dc507533c58e6d61fd1cbe83a85e0d206b798c20a512"),
+    "farey coaster '[1;(2)]' --depth 2": (0, "642552e1cdf61486ba49be0fb8496bd50f684c7361c7e5263fda671c6585fb77"),
+    "sheaf kclass '[1;(2)]' --depth 3": (0, "c06c39b5d6e70b8bdfc394c5960a6b89f6ce9fd64de5520d79c94e3ef1ff2ee8"),
+    "divide tree '[1;(1)]' 2/1 --depth 2": (0, "e61c4886db89d6398e04010b516d836e87e28e4cde67a7d8bbd4cb0b2b393910"),
+    "divide rank '[1;(1)]' 2/1 1/5 1/100": (0, "a8845ca9d2656d67350d6fff27d00c53bf027c5d9d81699f54601ec69ab4054e"),
 }
 
 
@@ -598,3 +604,44 @@ def test_readme_commands_keep_their_bytes(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
         seen[shlex.join(argv)] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert seen == _README_BYTES
+
+
+# exit code and sha256 of stdout and of stderr of argparse's help texts and usage errors
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_USAGE_BYTES = {
+    "-h": (0, "1a4b4247dd23c9dc9320b6ffd025410f9285f90ca5d391a4a9728e250601245f", _EMPTY),
+    "cf -h": (0, "1275bd48be27acfc841cb430b9c458bec50febd769955650bd1a50dfcbaa9bea", _EMPTY),
+    "farey -h": (0, "c598155ea9fe2cbadedc90834d74311234513774c49e4bb9df277549d1fd8de7", _EMPTY),
+    "sheaf -h": (0, "5ee7a1c028ce67d4e7871af97be4586d5449ec4666ca4dda527f208eede8aec7", _EMPTY),
+    "divide -h": (0, "0945d09556565f727c14dacfcc5eb8d239772cb227f167aae24828955f215478", _EMPTY),
+    "render -h": (0, "a06484ffbe5b570547aa2aba0db8ed07d23766b64ef5c3b96906c23f10204d67", _EMPTY),
+    "cf convergents -h": (0, "b7caf7064e4d4af58993747e5cea6f8ca018c8a7693e03f45d62c9ec08774547", _EMPTY),
+    "sheaf enumerate -h": (0, "aed173e5a7aaa51c6a8e3e297b456a9f919122096209c1cb2d36e802636ba7e7", _EMPTY),
+    "render svg -h": (0, "ac27797f660bf496ecd78549272bdf510ab1149dcdbc7472361e232f694249e5", _EMPTY),
+    "": (2, _EMPTY, "25735251b21d6cb7bf44c9560b11ec0a50c29c8b146fa56611797f61f8286e9e"),
+    "nope": (2, _EMPTY, "05fe66db481c9609296458ac839020ab42b0ea744d71df14f18b1c9e0fef7c73"),
+    "cf": (2, _EMPTY, "aa45118780e64fa87f90c1aed1f36f492c01c2cc159be8b2d72d662096db9b94"),
+    "cf nope": (2, _EMPTY, "1590d45dc4d286fd8584487437fb15fa2ba7b2ea73ec4fdb439e7488deda5fb3"),
+    "farey diagram '[1;(1)]'": (2, _EMPTY, "b20adff286174d036260aba65a460ae4b54dc920c433f24ad4c44d19ee1350c1"),
+    "cf convergents '[1;(1)]' -n two": (2, _EMPTY, "1418dc0c01dbae035d9ada6acb5e46780d006baecc2a7b4c2b8101cdad737d86"),
+    "render svg cube": (2, _EMPTY, "0b442912a25d2056501360b60936deb1aca8f4bba0fc8a233bb2a2b91b70abc4"),
+    "render svg tessellation --model klein": (
+        2, _EMPTY, "ececbba4f47e929e3a51c71e4c8298572eec79fb8ceac548568d4e64e73132c3"
+    ),
+    "sheaf enumerate": (2, _EMPTY, "558e23b5d67099f44418d866e9c2fd31cda77d2904084f8cd65b8ac2a0e831fb"),
+    "cf convergents '[1;(1)]' --bogus": (2, _EMPTY, "999f4706a34fe3ece107c735edbb76e6a78248f27f266376b757b60268576c4a"),
+    "farey product 3/2 1/0": (2, _EMPTY, "bfc6a669d236aa2f93db7bf2694041e8a197c79b238e7b7012b8a9883ce95ea6"),
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse lays out help differently in other Python versions"
+)
+@pytest.mark.parametrize("call", list(_USAGE_BYTES))
+def test_help_and_usage_keep_their_bytes(capsys, monkeypatch, call):  # guard
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exited:
+        main(shlex.split(call))
+    out, err = capsys.readouterr()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+    assert (exited.value.code, *digests) == _USAGE_BYTES[call]
