@@ -1,5 +1,9 @@
 """Command-line front door: JSON on stdout, SVG via --out, exact inside.
 
+``_COMMANDS`` lists every command once: its group, its action, its help, its
+handler and its arguments.  ``build_parser`` builds the argparse tree from it
+and ``main`` dispatches through it.
+
 Exit codes: 0 success, 2 bad input (argparse uses the same code) or output
 that cannot be written, 3 when a finite quotient prefix runs out of depth —
 the needed depth is printed to stderr so the caller knows how much more to
@@ -370,6 +374,8 @@ def _cmd_render_svg(args):
     if args.kind != "tessellation":
         obj = _render_object(args)
     elif args.theta is not None and args.far is not None:
+        if args.format == "json":
+            raise ValueError("render tessellation --format json prints the depth only: drop --theta and --far")
         highlight = farey_diagram(_parse_theta(args.theta), _parse_slope(args.far), depth)
     elif args.theta is not None or args.far is not None:
         raise ValueError("render tessellation takes --theta and --far together")
@@ -386,7 +392,92 @@ def _cmd_render_svg(args):
 
 
 # --------------------------------------------------------------------------
-# parser assembly
+# the command table: {group: (help, {action: (help, handler, arguments)})},
+# each argument a (name, add_argument keywords) pair
+
+
+_THETA = ("theta", {})
+_BUDGET = ("--budget", {"type": int, "default": 64})
+
+
+def _far(help: Optional[str] = None):
+    return ("far", {"help": help})
+
+
+def _depth(default: int, help: Optional[str] = None):
+    return ("--depth", {"type": int, "default": default, "help": help})
+
+
+_COMMANDS = {
+    "cf": ("continued fractions and invariant chains", {
+        "convergents": ("the first n convergents of theta", _cmd_cf_convergents, [
+            _THETA, ("-n", {"type": int, "default": 8, "help": "how many (default 8)"})]),
+        "semiconvergents": ("row i of the semiconvergent fan", _cmd_cf_semiconvergents, [
+            _THETA, ("-n", {"type": int, "default": 0, "help": "row index i >= -1 (default 0)"})]),
+        "ctheta": ("the gcd-chain invariant c(theta)", _cmd_cf_ctheta, [_THETA, _BUDGET]),
+        "dchain": ("the chain d_i = gcd(q_2i, a_2i+2)", _cmd_cf_dchain, [_THETA, ("-n", {"type": int, "default": 8})]),
+        "construct": ("build a prefix with growing chains", _cmd_cf_construct, [
+            ("--seed", {"default": "1,1,1", "help": "a0,a1,a2 (a2 squarefree)"}), _depth(3, "constructed steps")]),
+    }),
+    "farey": ("diagrams, trees, cutting sequences", {
+        "diagram": ("the Farey diagram between theta and far", _cmd_farey_diagram, [
+            _THETA, _far("a fraction p/q or a CF string"), _depth(6)]),
+        "tree": ("the binary tree of child vertices", _cmd_farey_tree, [_THETA, _far("a fraction p/q"), _depth(4)]),
+        "cutting": ("L/R cutting sequence runs", _cmd_farey_cutting, [_THETA, _depth(10)]),
+        "product": ("the Farey-diagram product of two slopes", _cmd_farey_product, [
+            ("first", {}), ("second", {}), ("--theta", {"required": True})]),
+        "bottom": ("the bottom fraction between two thetas", _cmd_farey_bottom, [_THETA, ("theta2", {})]),
+        "coaster": ("the roller coaster complex", _cmd_farey_coaster, [_THETA, _depth(3)]),
+    }),
+    "sheaf": ("stable classes and hom calculus", {
+        "chi": ("Euler pairing of two degree/rank vectors", _cmd_sheaf_chi, [
+            ("first", {"help": "d/r"}), ("second", {"help": "d/r"})]),
+        "hom": ("hom and ext1 dimensions for stable classes", _cmd_sheaf_hom, [
+            ("source", {"help": "d/r"}), ("target", {"help": "d/r"})]),
+        "minimal": ("is (sub, middle, quotient) minimal?", _cmd_sheaf_minimal, [
+            ("sub", {}), ("middle", {}), ("quotient", {})]),
+        "enumerate": ("all minimal triangles up to a rank", _cmd_sheaf_enumerate, [
+            ("--max-rank", {"type": int, "required": True}), ("--max-degree", {"type": int, "default": None})]),
+        "kclass": ("telescoping K-class partial sums", _cmd_sheaf_kclass, [_THETA, _depth(8)]),
+        "bound": ("endomorphism dimension bound at theta-", _cmd_sheaf_bound, [_THETA, _BUDGET]),
+        "classify": ("classify Hom(x, y) by the case table", _cmd_sheaf_classify, [
+            ("source", {"help": "d/r, or a CF string ending + or -"}),
+            ("target", {"help": "d/r, or a CF string ending + or -"}),
+            _depth(8),
+            _BUDGET,
+        ]),
+        "image": ("the stable image class between two thetas", _cmd_sheaf_image, [_THETA, ("theta2", {})]),
+        "multiplicity": ("torsion quotient multiplicity", _cmd_sheaf_multiplicity, [
+            ("vector", {"help": "d/r"}), ("slope", {"help": "the torsion-point slope p/q"})]),
+    }),
+    "divide": ("interval division and bead objects", {
+        "tree": ("the division tree level by level", _cmd_divide_tree, [_THETA, _far("a fraction p/q"), _depth(3)]),
+        "points": ("sorted division points with float values", _cmd_divide_points, [_THETA, _far(), _depth(4)]),
+        "beads": ("the bead object on [start, end]", _cmd_divide_beads, [
+            _THETA, _far(), ("start", {"help": "lattice element (m,n)"}), ("end", {"help": "lattice element (m,n)"})]),
+        "ses": ("check the bead short exact sequence", _cmd_divide_ses, [
+            _THETA, _far(), ("start", {}), ("middle", {}), ("end", {})]),
+        "rank": ("a chain of beads approximating a rank", _cmd_divide_rank, [
+            _THETA,
+            _far(),
+            ("target", {"help": "a decimal or p/q, taken exactly"}),
+            ("tol", {"help": "a decimal or p/q, taken exactly"}),
+        ]),
+    }),
+    "render": ("SVG figures", {
+        "svg": ("render a figure", _cmd_render_svg, [
+            ("kind", {"choices": ("tessellation", "diagram", "tree", "coaster")}),
+            ("--theta", {"default": None}),
+            ("--far", {"default": None}),
+            _depth(4),
+            ("--model", {"choices": ("disc", "upper_half"), "default": "disc"}),
+            ("--size", {"type": int, "default": 600, "help": "pixels (>= 64)"}),
+            ("--out", {"default": None, "help": "write SVG here"}),
+            ("--format", {"choices": ("svg", "json"), "default": "svg"}),
+            ("--config", {"default": None, "help": "key=value style file"}),
+        ]),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,189 +487,22 @@ def build_parser() -> argparse.ArgumentParser:
         "diagrams, stable classes, interval division, SVG figures.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    # -- cf ------------------------------------------------------------------
-    cf = groups.add_parser("cf", help="continued fractions and invariant chains")
-    cfa = cf.add_subparsers(dest="action", required=True)
-
-    q = cfa.add_parser("convergents", help="the first n convergents of theta")
-    q.add_argument("theta")
-    q.add_argument("-n", type=int, default=8, help="how many (default 8)")
-    q.set_defaults(func=_cmd_cf_convergents)
-
-    q = cfa.add_parser("semiconvergents", help="row i of the semiconvergent fan")
-    q.add_argument("theta")
-    q.add_argument("-n", type=int, default=0, help="row index i >= -1 (default 0)")
-    q.set_defaults(func=_cmd_cf_semiconvergents)
-
-    q = cfa.add_parser("ctheta", help="the gcd-chain invariant c(theta)")
-    q.add_argument("theta")
-    q.add_argument("--budget", type=int, default=64)
-    q.set_defaults(func=_cmd_cf_ctheta)
-
-    q = cfa.add_parser("dchain", help="the chain d_i = gcd(q_2i, a_2i+2)")
-    q.add_argument("theta")
-    q.add_argument("-n", type=int, default=8)
-    q.set_defaults(func=_cmd_cf_dchain)
-
-    q = cfa.add_parser("construct", help="build a prefix with growing chains")
-    q.add_argument("--seed", default="1,1,1", help="a0,a1,a2 (a2 squarefree)")
-    q.add_argument("--depth", type=int, default=3, help="constructed steps")
-    q.set_defaults(func=_cmd_cf_construct)
-
-    # -- farey ---------------------------------------------------------------
-    fa = groups.add_parser("farey", help="diagrams, trees, cutting sequences")
-    faa = fa.add_subparsers(dest="action", required=True)
-
-    q = faa.add_parser("diagram", help="the Farey diagram between theta and far")
-    q.add_argument("theta")
-    q.add_argument("far", help="a fraction p/q or a CF string")
-    q.add_argument("--depth", type=int, default=6)
-    q.set_defaults(func=_cmd_farey_diagram)
-
-    q = faa.add_parser("tree", help="the binary tree of child vertices")
-    q.add_argument("theta")
-    q.add_argument("far", help="a fraction p/q")
-    q.add_argument("--depth", type=int, default=4)
-    q.set_defaults(func=_cmd_farey_tree)
-
-    q = faa.add_parser("cutting", help="L/R cutting sequence runs")
-    q.add_argument("theta")
-    q.add_argument("--depth", type=int, default=10)
-    q.set_defaults(func=_cmd_farey_cutting)
-
-    q = faa.add_parser("product", help="the Farey-diagram product of two slopes")
-    q.add_argument("first")
-    q.add_argument("second")
-    q.add_argument("--theta", required=True)
-    q.set_defaults(func=_cmd_farey_product)
-
-    q = faa.add_parser("bottom", help="the bottom fraction between two thetas")
-    q.add_argument("theta")
-    q.add_argument("theta2")
-    q.set_defaults(func=_cmd_farey_bottom)
-
-    q = faa.add_parser("coaster", help="the roller coaster complex")
-    q.add_argument("theta")
-    q.add_argument("--depth", type=int, default=3)
-    q.set_defaults(func=_cmd_farey_coaster)
-
-    # -- sheaf ---------------------------------------------------------------
-    sh = groups.add_parser("sheaf", help="stable classes and hom calculus")
-    sha = sh.add_subparsers(dest="action", required=True)
-
-    q = sha.add_parser("chi", help="Euler pairing of two degree/rank vectors")
-    q.add_argument("first", help="d/r")
-    q.add_argument("second", help="d/r")
-    q.set_defaults(func=_cmd_sheaf_chi)
-
-    q = sha.add_parser("hom", help="hom and ext1 dimensions for stable classes")
-    q.add_argument("source", help="d/r")
-    q.add_argument("target", help="d/r")
-    q.set_defaults(func=_cmd_sheaf_hom)
-
-    q = sha.add_parser("minimal", help="is (sub, middle, quotient) minimal?")
-    q.add_argument("sub")
-    q.add_argument("middle")
-    q.add_argument("quotient")
-    q.set_defaults(func=_cmd_sheaf_minimal)
-
-    q = sha.add_parser("enumerate", help="all minimal triangles up to a rank")
-    q.add_argument("--max-rank", type=int, required=True)
-    q.add_argument("--max-degree", type=int, default=None)
-    q.set_defaults(func=_cmd_sheaf_enumerate)
-
-    q = sha.add_parser("kclass", help="telescoping K-class partial sums")
-    q.add_argument("theta")
-    q.add_argument("--depth", type=int, default=8)
-    q.set_defaults(func=_cmd_sheaf_kclass)
-
-    q = sha.add_parser("bound", help="endomorphism dimension bound at theta-")
-    q.add_argument("theta")
-    q.add_argument("--budget", type=int, default=64)
-    q.set_defaults(func=_cmd_sheaf_bound)
-
-    q = sha.add_parser("classify", help="classify Hom(x, y) by the case table")
-    q.add_argument("source", help="d/r, or a CF string ending + or -")
-    q.add_argument("target", help="d/r, or a CF string ending + or -")
-    q.add_argument("--depth", type=int, default=8)
-    q.add_argument("--budget", type=int, default=64)
-    q.set_defaults(func=_cmd_sheaf_classify)
-
-    q = sha.add_parser("image", help="the stable image class between two thetas")
-    q.add_argument("theta")
-    q.add_argument("theta2")
-    q.set_defaults(func=_cmd_sheaf_image)
-
-    q = sha.add_parser("multiplicity", help="torsion quotient multiplicity")
-    q.add_argument("vector", help="d/r")
-    q.add_argument("slope", help="the torsion-point slope p/q")
-    q.set_defaults(func=_cmd_sheaf_multiplicity)
-
-    # -- divide --------------------------------------------------------------
-    dv = groups.add_parser("divide", help="interval division and bead objects")
-    dva = dv.add_subparsers(dest="action", required=True)
-
-    q = dva.add_parser("tree", help="the division tree level by level")
-    q.add_argument("theta")
-    q.add_argument("far", help="a fraction p/q")
-    q.add_argument("--depth", type=int, default=3)
-    q.set_defaults(func=_cmd_divide_tree)
-
-    q = dva.add_parser("points", help="sorted division points with float values")
-    q.add_argument("theta")
-    q.add_argument("far")
-    q.add_argument("--depth", type=int, default=4)
-    q.set_defaults(func=_cmd_divide_points)
-
-    q = dva.add_parser("beads", help="the bead object on [start, end]")
-    q.add_argument("theta")
-    q.add_argument("far")
-    q.add_argument("start", help="lattice element (m,n)")
-    q.add_argument("end", help="lattice element (m,n)")
-    q.set_defaults(func=_cmd_divide_beads)
-
-    q = dva.add_parser("ses", help="check the bead short exact sequence")
-    q.add_argument("theta")
-    q.add_argument("far")
-    q.add_argument("start")
-    q.add_argument("middle")
-    q.add_argument("end")
-    q.set_defaults(func=_cmd_divide_ses)
-
-    q = dva.add_parser("rank", help="a chain of beads approximating a rank")
-    q.add_argument("theta")
-    q.add_argument("far")
-    q.add_argument("target", help="a decimal or p/q, taken exactly")
-    q.add_argument("tol", help="a decimal or p/q, taken exactly")
-    q.set_defaults(func=_cmd_divide_rank)
-
-    # -- render --------------------------------------------------------------
-    rd = groups.add_parser("render", help="SVG figures")
-    rda = rd.add_subparsers(dest="action", required=True)
-
-    q = rda.add_parser("svg", help="render a figure")
-    q.add_argument(
-        "kind", choices=("tessellation", "diagram", "tree", "coaster")
-    )
-    q.add_argument("--theta", default=None)
-    q.add_argument("--far", default=None)
-    q.add_argument("--depth", type=int, default=4)
-    q.add_argument("--model", choices=("disc", "upper_half"), default="disc")
-    q.add_argument("--size", type=int, default=600, help="pixels (>= 64)")
-    q.add_argument("--out", default=None, help="write SVG here")
-    q.add_argument("--format", choices=("svg", "json"), default="svg")
-    q.add_argument("--config", default=None, help="key=value style file")
-    q.set_defaults(func=_cmd_render_svg)
-
+    for group, (group_help, actions) in _COMMANDS.items():
+        group_parser = groups.add_parser(group, help=group_help)
+        action_parsers = group_parser.add_subparsers(dest="action", required=True)
+        for action, (action_help, _, arguments) in actions.items():
+            action_parser = action_parsers.add_parser(action, help=action_help)
+            for name, keywords in arguments:
+                action_parser.add_argument(name, **keywords)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = _COMMANDS[args.group][1][args.action][1]
     try:
-        payload = args.func(args)
+        payload = handler(args)
         if not (isinstance(payload, str) and payload.lstrip().startswith("<svg")):
             # inside the try: str() of an int past 4300 digits raises ValueError
             payload = json.dumps(payload, indent=2)

@@ -175,11 +175,7 @@ def bounded_quotients(theta: IrrationalNumber, depth: int = 0):
         return (max(pool), None)
     if depth < 1:
         raise ValueError("depth must be >= 1 for a finite prefix")
-    if depth > theta.available_depth():
-        raise PrecisionExhausted(
-            f"prefix has only {theta.available_depth()} quotients past a0",
-            needed_depth=depth,
-        )
+    theta.quotient(depth)  # a short prefix raises here, asking for a_depth's own place
     return (max(theta.quotient(i) for i in range(1, depth + 1)), depth)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import fareyslopes
 from fareyslopes.cfrac import EventuallyPeriodic, semiconvergents
-from fareyslopes.cli import main
+from fareyslopes.cli import _COMMANDS, main
 from fareyslopes.division import beads, divide, division_points, root_interval, ses_check
 from fareyslopes.exact import ReducedFraction as F
 from fareyslopes.farey import farey_diagram, roller_coaster
@@ -286,6 +286,8 @@ _BAD_INPUT = [
     (2, "render svg tessellation --depth 2 --far 2/1",
      "render tessellation takes --theta and --far together"),
     (2, "render svg coaster --theta '[1;(1)]' --far 2/1", "render coaster takes no --far"),
+    (2, "render svg tessellation --theta '[1;(1)]' --far 2/1 --format json",
+     "render tessellation --format json prints the depth only: drop --theta and --far"),
     (3, "render svg coaster --theta '[1;1,1]' --depth 6"),
     (3, "divide points '[1;1]' 2/1 --depth 3"),
     # equal prefixes may stand for distinct slopes, as in farey bottom
@@ -495,7 +497,9 @@ def test_render_format_json_prints_the_object_whatever_the_model(capsys):  # gua
     argv = ["render", "svg", "coaster", "--theta", "[1;(1)]", "--depth", "3", "--format", "json"]
     assert run(capsys, *argv, "--model", "upper_half") == run(capsys, *argv)
     argv = ["render", "svg", "tessellation", "--theta", "[1;(1)]", "--far", "2/1", "--depth", "3", "--format", "json"]
-    assert run(capsys, *argv, "--model", "upper_half") == (0, "3\n", "")
+    assert run(capsys, *argv, "--model", "upper_half") == (
+        2, "", "error: render tessellation --format json prints the depth only: drop --theta and --far\n"
+    )
 
 
 def test_render_config_styles(capsys, tmp_path):
@@ -604,6 +608,11 @@ def test_readme_commands_keep_their_bytes(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
         seen[shlex.join(argv)] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert seen == _README_BYTES
+
+
+def test_every_action_has_a_pinned_output():  # guard
+    pinned = {tuple(shlex.split(call)[:2]) for call, (code, _) in {**_README_BYTES, **_OTHER_BYTES}.items() if code == 0}
+    assert pinned == {(group, action) for group, (_, actions) in _COMMANDS.items() for action in actions}
 
 
 # exit code and sha256 of stdout and of stderr of argparse's help texts and usage errors

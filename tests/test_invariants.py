@@ -309,6 +309,14 @@ def test_bounded_quotients():
         bounded_quotients(pre, depth=0)
 
 
+def test_bounded_quotients_needed_depth_answers():
+    # a_6 is the seventh quotient: the hint asks for 7, not the 6 already held
+    quotients = (2, 1, 4, 1, 1, 1, 3, 1)
+    with pytest.raises(PrecisionExhausted, match=r"^prefix of 6 quotients cannot answer depth 6$") as short:
+        bounded_quotients(FinitePrefix(quotients[:6]), 6)
+    assert bounded_quotients(FinitePrefix(quotients[: short.value.needed_depth]), 6) == (4, 6)
+
+
 # -- the constructor ----------------------------------------------------------
 
 
