@@ -611,7 +611,8 @@ def test_readme_commands_keep_their_bytes(capsys, tmp_path, monkeypatch):
 
 
 def test_every_action_has_a_pinned_output():  # guard
-    pinned = {tuple(shlex.split(call)[:2]) for call, (code, _) in {**_README_BYTES, **_OTHER_BYTES}.items() if code == 0}
+    pins = {**_README_BYTES, **_OTHER_BYTES}
+    pinned = {tuple(shlex.split(call)[:2]) for call, (code, _) in pins.items() if code == 0}
     assert pinned == {(group, action) for group, (_, actions) in _COMMANDS.items() for action in actions}
 
 
