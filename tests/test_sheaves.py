@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -5,7 +7,7 @@ import pytest
 
 from fareyslopes import sheaves
 from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
-from fareyslopes.errors import TolTooTight
+from fareyslopes.errors import PrecisionExhausted, TolTooTight
 from fareyslopes.exact import INFINITY, ReducedFraction as F
 from fareyslopes.sheaves import (
     FINITE_DIVISION_ALGEBRA_BOUND,
@@ -276,6 +278,62 @@ def test_hom_classify_rejects_a_negative_depth():
     for x, y in ((mg, pg), (O(0, 1), O(1, 1))):
         with pytest.raises(ValueError, match="^depth must be >= 0$"):
             hom_classify(x, y, depth=-3)
+
+
+_L = LimitObjectDescriptor
+
+# one call per case of the table: case -> (x, y, depth, budget, sha256 of the report's JSON)
+_HOM_BYTES = {
+    "torsion pair": (O(1, 0), O(2, 0), 8, 64, "efccebf341557dfc58eabd9fda53c758b6fd7b9ff1b337de141eb5ba5cec467c"),
+    "stable endo": (O(1, 2), O(1, 2), 8, 64, "740f5f715c21c7636db6ee51809a09e96939af59b68361150897e204d75eb54e"),
+    "stable down": (O(1, 1), O(-1, 3), 8, 64, "8151666bd216c6771cbd32b75b21f8d0fabf94c30a43815dc50ff300e8f00869"),
+    "stable up": (O(-1, 2), O(3, 2), 0, 16, "f6c828e9b70d8b95d06eb9264c87dcc1f0322bede8a94634735857d360fe08e9"),
+    "stable above theta": (
+        O(3, 2), _L(sqrt2, PLUS), 8, 64, "fa28de2564d1946898598add9ff8f670f1fefea1c12493ff6f8bc106884cc558"
+    ),
+    "stable below theta": (
+        O(4, 3), _L(FinitePrefix((1, 2, 2)), MINUS), 8, 64,
+        "6e5d72f6deb5fe9c3bf6634f3f6212deb26ebaca92edb8fa4a1b092ff65241ed",
+    ),
+    "out of plus": (_L(sqrt2, PLUS), O(1, 1), 8, 64, "951c0a11943e6a719a58a7e26f0f1e3ced1194dd1198984cda158d9202c52d86"),
+    "minus to lower stable": (
+        _L(golden, MINUS), O(3, 2), 8, 64, "c8b413a371df438acd824bad1aa52ceedec3ef15ed57ef05a82b8d7b2d0b28bc"
+    ),
+    "minus to higher stable": (
+        _L(sqrt2, MINUS), O(1, 0), 8, 64, "e79f360c68f2018cb230ba983867e2b7a4c49d9f983eb6b1328b8369fc9aac9e"
+    ),
+    "minus endo": (
+        _L(sqrt2, MINUS), _L(sqrt2, MINUS), 3, 16, "9b848bf093b2ee05537d2b6d68758ed34d1f4c8a88080287ad1937c47ef3d491"
+    ),
+    "minus to plus": (
+        _L(golden, MINUS), _L(golden, PLUS), 4, 64, "b337a9af1b1df54cd934ebe1073bd6399637b031127f7d6a8c077963e828490b"
+    ),
+    "limit down": (
+        _L(golden, MINUS), _L(sqrt2, PLUS), 8, 64, "6ec4da08e5de3590caae192453201d29970454db071a868fdb79aee41a815924"
+    ),
+    "limit up": (
+        _L(FinitePrefix((1, 2, 2, 2)), MINUS), _L(golden, MINUS), 8, 64,
+        "3002db730859b3242cce800373f75aa1ef2103af978a70b45a984ed4b72119f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOM_BYTES))
+def test_hom_classify_keeps_its_bytes(case):  # guard
+    x, y, depth, budget, want = _HOM_BYTES[case]
+    text = json.dumps(hom_classify(x, y, depth, budget).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_hom_classify_errors_keep_their_text():  # guard
+    prefix = _L(FinitePrefix((1, 1, 1)), MINUS)
+    with pytest.raises(PrecisionExhausted, match=r"^prefix of 3 quotients cannot answer depth 3$") as exhausted:
+        hom_classify(prefix, prefix)
+    assert exhausted.value.needed_depth == 4
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        hom_classify(O(0, 1), O(1, 1), depth=-1)
+    with pytest.raises(ValueError, match="^budget must be >= 2$"):
+        hom_classify(_L(sqrt2, MINUS), _L(sqrt2, MINUS), budget=1)
 
 
 # -- images -------------------------------------------------------------------------
