@@ -482,7 +482,7 @@ def endo_dim_bound(desc: LimitObjectDescriptor, budget: int = 64) -> EndoBoundRe
 
 
 # --------------------------------------------------------------------------
-# the vanishing rule table
+# the vanishing rule table: one row of _RULES per case
 
 
 class HomReport(Value):
@@ -531,138 +531,69 @@ class HomReport(Value):
         return out
 
 
-def _classify_stable_pair(x: StableClass, y: StableClass) -> HomReport:
-    if x.is_torsion and y.is_torsion:
-        return HomReport(
-            x,
-            y,
-            UNKNOWN,
-            clause="maps between torsion classes depend on supports, "
-            "not characters",
-        )
-    hom, ext1 = hom_ext_dims(x, y)
-    if x == y:
-        return HomReport(
-            x,
-            y,
-            FINITE_DIVISION_ALGEBRA_BOUND,
-            clause="endomorphisms of a stable object form a division algebra "
-            "of dimension rank^2",
-            bound=hom.ht,
-            hom=hom,
-            ext1=ext1,
-            ext1_zero=True,
-        )
-    if y.slope() < x.slope():
-        return HomReport(
-            x,
-            y,
-            _ZERO,
-            clause="no maps from strictly larger slope to smaller",
-            hom=hom,
-            ext1=ext1,
-            ext1_zero=False,
-        )
-    return HomReport(
-        x,
-        y,
+# case -> (verdict, clause, ext1_zero), one row per case that _case tells apart
+_RULES = {
+    "torsion pair": (UNKNOWN, "maps between torsion classes depend on supports, not characters", None),
+    "stable endo": (
+        FINITE_DIVISION_ALGEBRA_BOUND,
+        "endomorphisms of a stable object form a division algebra of dimension rank^2",
+        True,
+    ),
+    "stable down": (_ZERO, "no maps from strictly larger slope to smaller", False),
+    "stable up": (UNKNOWN, "slope goes up: hom is nonzero with the exact size attached, extensions vanish", True),
+    "stable above theta": (_ZERO, "rational slope above theta: maps into either limit object vanish", None),
+    "stable below theta": (UNKNOWN, "rational slope below theta: extensions into the limit object vanish", True),
+    "out of plus": (UNKNOWN, "no rule constrains maps out of the plus-side limit", None),
+    "minus to lower stable": (_ZERO, "maps from the minus-side colimit into smaller slope vanish", None),
+    "minus to higher stable": (
         UNKNOWN,
-        clause="slope goes up: hom is nonzero with the exact size attached, "
-        "extensions vanish",
-        hom=hom,
-        ext1=ext1,
-        ext1_zero=True,
-    )
+        "rational slope above theta: extensions from the minus-side colimit vanish",
+        True,
+    ),
+    "minus endo": (
+        FINITE_DIVISION_ALGEBRA_BOUND,
+        "endomorphisms of the colimit embed in a division algebra of dimension c(theta)^2",
+        True,
+    ),
+    "minus to plus": (
+        SES_WITH_C_QUOTIENT,
+        "hom sits in a short exact sequence: kernel the product over i of endomorphisms of the i-th "
+        "convergent bundle to the power a_{i+1}, quotient the one-dimensional base field",
+        None,
+    ),
+    "limit down": (_ZERO, "target slope strictly below source: maps vanish", None),
+    "limit up": (UNKNOWN, "target slope above source: extensions vanish", True),
+}
 
 
-def _classify_from_stable(x: StableClass, y: LimitObjectDescriptor) -> HomReport:
-    # gamma > theta kills maps into either limit object; gamma < theta
-    # kills the extensions instead.
-    if compare_theta_rational(y.theta, x.slope()) == LESS:
-        return HomReport(
-            x,
-            y,
-            _ZERO,
-            clause="rational slope above theta: maps into either limit "
-            "object vanish",
-        )
-    return HomReport(
-        x,
-        y,
-        UNKNOWN,
-        clause="rational slope below theta: extensions into the limit "
-        "object vanish",
-        ext1_zero=True,
-    )
-
-
-def _classify_minus_to_stable(x: LimitObjectDescriptor, y: StableClass) -> HomReport:
-    if compare_theta_rational(x.theta, y.slope()) == GREATER:
-        return HomReport(
-            x,
-            y,
-            _ZERO,
-            clause="maps from the minus-side colimit into smaller slope vanish",
-        )
-    return HomReport(
-        x,
-        y,
-        UNKNOWN,
-        clause="rational slope above theta: extensions from the minus-side "
-        "colimit vanish",
-        ext1_zero=True,
-    )
-
-
-def _classify_minus_limit(
-    x: LimitObjectDescriptor, y: LimitObjectDescriptor, depth: int, budget: int
-) -> HomReport:
+def _case(x: HomEnd, y: HomEnd) -> str:
+    """The name of the _RULES row that decides Hom(x, y)."""
+    if isinstance(x, StableClass) and isinstance(y, StableClass):
+        if x.is_torsion and y.is_torsion:
+            return "torsion pair"
+        if x == y:
+            return "stable endo"
+        return "stable down" if y.slope() < x.slope() else "stable up"
+    if isinstance(x, StableClass):
+        # gamma > theta kills maps into either limit object; gamma < theta
+        # kills the extensions instead.
+        if compare_theta_rational(y.theta, x.slope()) == LESS:
+            return "stable above theta"
+        return "stable below theta"
+    if x.side != MINUS:
+        return "out of plus"
+    if isinstance(y, StableClass):
+        if compare_theta_rational(x.theta, y.slope()) == GREATER:
+            return "minus to lower stable"
+        return "minus to higher stable"
     # finite prefixes are never equal: slope_lt raises PrecisionExhausted
-    if _slopes_equal(x.theta, y.theta) and y.side == MINUS:
-        report = endo_dim_bound(x, budget)
-        return HomReport(
-            x,
-            y,
-            FINITE_DIVISION_ALGEBRA_BOUND,
-            clause="endomorphisms of the colimit embed in a division algebra "
-            "of dimension c(theta)^2",
-            bound=report.bound,
-            ext1_zero=True,
-            c_chain=report.chain,
-        )
     if _slopes_equal(x.theta, y.theta):
-        factors = tuple(
-            (x.theta.convergent_pair(i)[1] ** 2, x.theta.quotient(i + 1))
-            for i in range(depth)
-        )
-        return HomReport(
-            x,
-            y,
-            SES_WITH_C_QUOTIENT,
-            clause="hom sits in a short exact sequence: kernel the product "
-            "over i of endomorphisms of the i-th convergent bundle to the "
-            "power a_{i+1}, quotient the one-dimensional base field",
-            kernel_factors=factors,
-            quotient=DimPair(1, 0),
-        )
-    if slope_lt(y.theta, x.theta):
-        return HomReport(
-            x,
-            y,
-            _ZERO,
-            clause="target slope strictly below source: maps vanish",
-        )
-    return HomReport(
-        x,
-        y,
-        UNKNOWN,
-        clause="target slope above source: extensions vanish",
-        ext1_zero=True,
-    )
+        return "minus endo" if y.side == MINUS else "minus to plus"
+    return "limit down" if slope_lt(y.theta, x.theta) else "limit up"
 
 
 def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomReport:
-    """Classify Hom(x, y) by the slope rule table.
+    """Classify Hom(x, y) by the slope rule table ``_RULES``.
 
     The ends are stable classes or limit-object descriptors.  Verdicts:
     Zero when a vanishing rule fires, FiniteDivisionAlgebraBound for
@@ -675,20 +606,19 @@ def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomR
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if isinstance(x, StableClass) and isinstance(y, StableClass):
-        return _classify_stable_pair(x, y)
-    if isinstance(x, StableClass):
-        return _classify_from_stable(x, y)
-    if x.side != MINUS:
-        return HomReport(
-            x,
-            y,
-            UNKNOWN,
-            clause="no rule constrains maps out of the plus-side limit",
-        )
-    if isinstance(y, StableClass):
-        return _classify_minus_to_stable(x, y)
-    return _classify_minus_limit(x, y, depth, budget)
+    case = _case(x, y)
+    verdict, clause, ext1_zero = _RULES[case]
+    extra: dict = {}
+    if isinstance(x, StableClass) and isinstance(y, StableClass) and case != "torsion pair":
+        hom, ext1 = hom_ext_dims(x, y)
+        extra = {"hom": hom, "ext1": ext1, "bound": hom.ht if case == "stable endo" else None}
+    elif case == "minus endo":
+        report = endo_dim_bound(x, budget)
+        extra = {"bound": report.bound, "c_chain": report.chain}
+    elif case == "minus to plus":
+        factors = tuple((x.theta.convergent_pair(i)[1] ** 2, x.theta.quotient(i + 1)) for i in range(depth))
+        extra = {"kernel_factors": factors, "quotient": DimPair(1, 0)}
+    return HomReport(x, y, verdict, clause, ext1_zero=ext1_zero, **extra)
 
 
 # --------------------------------------------------------------------------

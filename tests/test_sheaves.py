@@ -325,6 +325,11 @@ def test_hom_classify_keeps_its_bytes(case):  # guard
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def test_every_rule_has_a_pinned_call():  # guard
+    reached = {case: sheaves._case(x, y) for case, (x, y, *_) in _HOM_BYTES.items()}
+    assert reached == {case: case for case in sheaves._RULES}
+
+
 def test_hom_classify_errors_keep_their_text():  # guard
     prefix = _L(FinitePrefix((1, 1, 1)), MINUS)
     with pytest.raises(PrecisionExhausted, match=r"^prefix of 3 quotients cannot answer depth 3$") as exhausted:
