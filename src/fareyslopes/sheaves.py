@@ -606,6 +606,8 @@ def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomR
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if budget < 2:
+        raise ValueError("budget must be >= 2")
     case = _case(x, y)
     verdict, clause, ext1_zero = _RULES[case]
     extra: dict = {}

@@ -265,6 +265,9 @@ _BAD_INPUT = [
     (2, "sheaf hom 2/4 1/1"),
     (2, "sheaf kclass '[0;(1000000)]' --depth 400"),  # an int past str()'s 4300-digit limit
     (2, "sheaf classify '[1;(1)]-' '[1;(1)]+' --depth -3", "depth must be >= 0"),
+    # every case checks the budget, not only the one that computes c(theta)
+    (2, "sheaf classify 1/1 2/1 --budget 0", "budget must be >= 2"),
+    (2, "sheaf classify '[1;(1)]-' '[1;(2)]+' --budget 1", "budget must be >= 2"),
     (2, "divide rank '[1;(1)]' 2/1 1/0 1/10"),  # a zero denominator once escaped as ZeroDivisionError
     (2, "divide rank '[1;(1)]' 2/1 1/5 inf"),
     (2, "divide beads '[1;(1)]' 2/1 '(0,0)' '(2,-3)'"),

@@ -330,6 +330,12 @@ def test_every_rule_has_a_pinned_call():  # guard
     assert reached == {case: case for case in sheaves._RULES}
 
 
+def test_hom_classify_rejects_a_budget_below_two():
+    for x, y, depth, _, _ in _HOM_BYTES.values():
+        with pytest.raises(ValueError, match="^budget must be >= 2$"):
+            hom_classify(x, y, depth, budget=1)
+
+
 def test_hom_classify_errors_keep_their_text():  # guard
     prefix = _L(FinitePrefix((1, 1, 1)), MINUS)
     with pytest.raises(PrecisionExhausted, match=r"^prefix of 3 quotients cannot answer depth 3$") as exhausted:
