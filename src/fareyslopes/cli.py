@@ -273,15 +273,15 @@ def _cmd_sheaf_multiplicity(args) -> dict:
 
 def _cmd_divide_tree(args) -> dict:
     from .division import divide, root_interval
-    theta = _parse_theta(args.theta)
-    level = [root_interval(theta, _parse_fraction(args.far))]
+    theta, far = _parse_theta(args.theta), _parse_fraction(args.far)
+    level = [root_interval(theta, far)]
     if _capped(args.depth) < 0:
         raise ValueError("depth must be >= 0")
     levels = [[iv.to_dict() for iv in level]]
     for _ in range(args.depth):
         level = [child for iv in level for child in divide(iv)]
         levels.append([iv.to_dict() for iv in level])
-    return {"theta": str(theta), "far": args.far, "levels": levels}
+    return {"theta": str(theta), "far": str(far), "levels": levels}
 
 
 def _cmd_divide_points(args) -> list:

@@ -387,6 +387,13 @@ def test_divide_tree_and_points(capsys):
     assert [p["value"] for p in pts] == sorted(p["value"] for p in pts)
 
 
+def test_divide_tree_prints_far_in_normal_form(capsys):
+    # like theta, far is printed as parsed, so two spellings of one slope give one output
+    want = run(capsys, "divide", "tree", "[1;(1)]", "2/1", "--depth", "1")
+    for far in ("4/2", " 2/1"):
+        assert run(capsys, "divide", "tree", "[1;(1)]", far, "--depth", "1") == want
+
+
 def test_convergents_rejects_n_below_one(capsys):
     # the message names the flag as typed: -n counts convergents from β_0
     code, out, err = run(capsys, "cf", "convergents", "[1;(1)]", "-n", "0")
