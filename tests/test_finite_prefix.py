@@ -1,9 +1,11 @@
 """FinitePrefix truncations of eventually periodic slopes: each answer of
 `slope_lt`, `bottom`, `cutting_sequence`, `semiconvergents`,
-`roller_coaster`, `farey_diagram` and `theta_product` matches the full
-slope's, or PrecisionExhausted names a depth that lets a longer prefix make
+`roller_coaster`, `farey_diagram`, `theta_product` and the `sheaves`
+functions that compare slopes matches the full slope's, or PrecisionExhausted names a depth that lets a longer prefix make
 progress.  Where the walking oracles answer on a truncation, the library
 answers too, with the same result."""
+
+import json
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,6 +13,16 @@ from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix, semiconvergents
 from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import ReducedFraction
 from fareyslopes.farey import bottom, cutting_sequence, farey_diagram, roller_coaster, slope_lt, theta_product
+from fareyslopes.sheaves import (
+    MINUS,
+    PLUS,
+    LimitObjectDescriptor,
+    StableClass,
+    farey_type_image,
+    hom_classify,
+    kclass_colimit_check,
+    witness_image_chain,
+)
 
 from _oracles import reference_diagram, theta_product_by_walk
 
@@ -147,3 +159,36 @@ def test_theta_product_matches_the_walk_oracle(operands, n):
     if oracle is not None:
         assert theta_product(r1, r2, prefix) == oracle
     assert _answer_from_prefixes(lambda t: theta_product(r1, r2, t), (theta,), (n,)) == want
+
+
+def _unslope(report, *slopes):
+    """The report's JSON with each slope's text replaced by its position, since
+    a prefix and its slope print differently.  Distinct slope texts never
+    contain one another: each is one bracketed string."""
+    text = json.dumps(report.to_dict())
+    for i, slope in enumerate(slopes):
+        text = text.replace(str(slope), f"theta{i}")
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_slope_pairs(), st.integers(1, 60), st.integers(1, 60), _FRACTION, st.integers(1, 6))
+def test_finite_prefix_sheaves_match_or_exhaust(pair, n1, n2, r, depth):
+    x, y = pair
+    lo, hi = (x, y) if slope_lt(x, y) else (y, x)
+    stable = StableClass.from_fraction(r)
+    calls = [
+        (lambda a, b: hom_classify(LimitObjectDescriptor(a, MINUS), LimitObjectDescriptor(b, MINUS), depth, 16), 2),
+        (lambda a, b: hom_classify(LimitObjectDescriptor(a, MINUS), LimitObjectDescriptor(b, PLUS), depth, 16), 2),
+        (lambda a: hom_classify(stable, LimitObjectDescriptor(a, MINUS), depth, 16), 1),
+        (lambda a: hom_classify(LimitObjectDescriptor(a, MINUS), stable, depth, 16), 1),
+        (lambda a: kclass_colimit_check(a, depth), 1),
+    ]
+    for fn, arity in calls:
+        slopes, lengths = (x, y)[:arity], (n1, n2)[:arity]
+        got = _answer_from_prefixes(lambda *t: _unslope(fn(*t), *t), slopes, lengths)
+        assert got == _unslope(fn(*slopes), *slopes)
+    assert _answer_from_prefixes(farey_type_image, (lo, hi), (n1, n2)) == farey_type_image(lo, hi)
+    base = bottom(lo, hi)
+    chain = _answer_from_prefixes(lambda a, b: _unslope(witness_image_chain(a, b, base), a, b), (lo, hi), (n1, n2))
+    assert chain == _unslope(witness_image_chain(lo, hi, base), lo, hi)
