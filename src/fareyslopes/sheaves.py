@@ -602,7 +602,8 @@ def hom_classify(x: HomEnd, y: HomEnd, depth: int = 8, budget: int = 64) -> HomR
     minus-side colimit to the plus-side limit at the same slope, Unknown
     when no rule constrains the hom (the companion ext vanishing is still
     reported when available).  ``depth`` truncates the kernel factor list
-    of the SES case; ``budget`` feeds the c(theta) computation.
+    of the SES case; ``budget`` (>= 2 in every case) feeds the c(theta)
+    computation.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

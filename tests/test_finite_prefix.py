@@ -1,9 +1,10 @@
 """FinitePrefix truncations of eventually periodic slopes: each answer of
 `slope_lt`, `bottom`, `cutting_sequence`, `semiconvergents`,
 `roller_coaster`, `farey_diagram`, `theta_product` and the `sheaves`
-functions that compare slopes matches the full slope's, or PrecisionExhausted names a depth that lets a longer prefix make
-progress.  Where the walking oracles answer on a truncation, the library
-answers too, with the same result."""
+functions that compare slopes matches the full slope's, or
+PrecisionExhausted names a depth that lets a longer prefix make progress.
+Where the walking oracles answer on a truncation, the library answers too,
+with the same result."""
 
 import json
 

@@ -295,7 +295,9 @@ _HOM_BYTES = {
         O(4, 3), _L(FinitePrefix((1, 2, 2)), MINUS), 8, 64,
         "6e5d72f6deb5fe9c3bf6634f3f6212deb26ebaca92edb8fa4a1b092ff65241ed",
     ),
-    "out of plus": (_L(sqrt2, PLUS), O(1, 1), 8, 64, "951c0a11943e6a719a58a7e26f0f1e3ced1194dd1198984cda158d9202c52d86"),
+    "out of plus": (
+        _L(sqrt2, PLUS), O(1, 1), 8, 64, "951c0a11943e6a719a58a7e26f0f1e3ced1194dd1198984cda158d9202c52d86"
+    ),
     "minus to lower stable": (
         _L(golden, MINUS), O(3, 2), 8, 64, "c8b413a371df438acd824bad1aa52ceedec3ef15ed57ef05a82b8d7b2d0b28bc"
     ),
