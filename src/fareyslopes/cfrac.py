@@ -108,20 +108,19 @@ class IrrationalNumber:
     def lattice_sign(self, m: int, n: int) -> int:
         """Sign of mθ + n, from Gosper's bracket on (m n; 0 1).
 
-        Fed θ's quotients as in ``ratio_quotients``, mθ + n lies strictly
-        between a/c and (a + b)/(c + d), one of which may be infinite, once
-        c and c + d share a sign (made nonnegative).  The sign is decided
-        when a·(a + b) ≥ 0: it is the sign of a + (a + b), 0 only for
-        m = n = 0.  A FinitePrefix raises PrecisionExhausted at the first
-        quotient that still leaves it open.
+        Fed θ's quotients as in ``ratio_quotients``, the bracket's lower row
+        (c d) starts at (0 1), is (1 0) after a₀, and every later quotient is
+        ≥ 1, so from then on c ≥ 1 and d ≥ 0: no sign needs flipping, and
+        the lower row is never read.  mθ + n lies strictly between a/c and
+        (a + b)/(c + d), so its sign is decided when a·(a + b) ≥ 0: it is
+        the sign of a + (a + b), 0 only for m = n = 0.  A FinitePrefix
+        raises PrecisionExhausted at the first quotient that still leaves it
+        open.
         """
-        a, b, c, d = m, n, 0, 1
+        a, b = m, n
         for k in itertools.count():
-            t = self.quotient(k)
-            a, b, c, d = a * t + b, a, c * t + d, c
-            if c <= 0 and c + d <= 0:
-                a, b, c, d = -a, -b, -c, -d
-            if c >= 0 and c + d >= 0 and a * (a + b) >= 0:
+            a, b = a * self.quotient(k) + b, a
+            if a * (a + b) >= 0:
                 return (2 * a + b > 0) - (2 * a + b < 0)
 
     def ratio_quotients(self, a: int, b: int, c: int, d: int):

@@ -383,6 +383,11 @@ def _cmd_render_svg(args):
         if args.out:
             raise ValueError("--out writes SVG; --format json prints to stdout")
         return obj if isinstance(obj, int) else obj.to_dict()
+    if args.kind == "coaster":
+        # the picture draws a grid line for each integer up to its largest coordinate + 1, in each direction
+        span = max((max(v.q, v.p) for v in obj.vertices if not v.is_infinite), default=0) + 1
+        if span + 1 > _ROW_CAP:
+            raise ValueError(f"the coaster's grid has more than {_ROW_CAP} lines a side, the most this command draws")
     svg = render_svg(RenderSpec(args.model, highlight, args.size, style), obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -168,7 +168,14 @@ class _DivisionTree:
 
     def locate(self, x: ThetaLatticeElement) -> Tuple[int, int]:
         """x's address, or NotDivisionPoint; a miss descends by exact
-        comparisons and splits the pieces it passes."""
+        comparisons and splits the pieces it passes.
+
+        Membership is only semi-decidable here: a point of the root interval
+        that is not a division point never meets a midpoint, so a descent
+        without a stop would never end on it.  The stop at _DEPTH_CAP levels
+        stays until a test proves a point is not a division point; a point
+        deeper than the stop is reported as NotDivisionPoint too.
+        """
         root = self.root()
         addr = self.address(x)
         if addr is not None:

@@ -18,7 +18,6 @@ import math
 from typing import List, Optional, Tuple, Union
 
 from .cfrac import GREATER, LESS, IrrationalNumber, _slopes_equal, bottom, compare_theta_rational, slope_lt
-from .errors import TolTooTight
 from .exact import ReducedFraction, Value
 from .invariants import Stabilized, bounded_quotients, c_theta
 
@@ -54,7 +53,6 @@ PLUS = "plus"
 MINUS = "minus"
 
 _ZERO = "Zero"
-_WITNESS_DEPTH = 4096  # the deepest diagram witness_image_chain searches
 FINITE_DIVISION_ALGEBRA_BOUND = "FiniteDivisionAlgebraBound"
 SES_WITH_C_QUOTIENT = "SESWithCQuotient"
 UNKNOWN = "Unknown"
@@ -706,18 +704,6 @@ def _rational_arrow(a: StableClass, b: StableClass) -> ChainArrow:
     return ChainArrow(a, b, kind, (StableClass(dp // g, dq // g), g))
 
 
-def _pick_level(
-    line: List[ReducedFraction], anchor: int, r: ReducedFraction
-) -> Optional[Tuple[int, ReducedFraction, ReducedFraction]]:
-    n = 1
-    while anchor - n >= 0 and anchor + n < len(line):
-        lo, hi = line[anchor - n], line[anchor + n]
-        if lo < r < hi and lo.q > r.q and hi.q > r.q:
-            return n, lo, hi
-        n += 1
-    return None
-
-
 def witness_image_chain(
     theta: IrrationalNumber,
     theta_prime: IrrationalNumber,
@@ -737,9 +723,14 @@ def witness_image_chain(
     surjections and the theta_prime-side arrows injections; each arrow
     between stable classes carries its kernel or cokernel class with
     multiplicity.  The outer arrows to and from the limit objects carry no
-    class (those complements have infinite rank).  The diagram depth doubles
-    from 8 while no level qualifies; past depth 4096 the search raises
-    TolTooTight.
+    class (those complements have infinite rank).  l_0 has the smallest
+    denominator in (theta, theta_prime), and a fraction strictly between
+    Farey neighbours x < y has denominator >= q_x + q_y, so no Farey edge
+    crosses l_0: the line below l_0 is the upper-arc labels of theta's
+    diagram with far end l_0, and above it the lower-arc labels of
+    theta_prime's, both numbered by level from 1.  Both tend to their slopes
+    with growing denominators, so the depth doubles from 1 until a level
+    qualifies; on a FinitePrefix a diagram raises PrecisionExhausted.
     """
     from .farey import farey_diagram
 
@@ -752,18 +743,14 @@ def witness_image_chain(
         raise ValueError("need theta < r < theta_prime")
 
     base = bottom(theta, theta_prime)
-    depth = 8
-    while True:
-        diagram = farey_diagram(theta, theta_prime, depth=depth)
-        line = sorted(fraction for _, fraction in diagram.left_labels)
-        if base in line:
-            found = _pick_level(line, line.index(base), r)
-            if found is not None:
-                level, lo, hi = found
-                break
+    depth, found = 1, None
+    while found is None:
+        below = farey_diagram(theta, base, depth).left_labels
+        above = farey_diagram(theta_prime, base, depth).right_labels
+        found = next(((n, lo, hi) for (n, lo), (_, hi) in zip(below, above)
+                      if lo < r < hi and lo.q > r.q and hi.q > r.q), None)
         depth *= 2
-        if depth > _WITNESS_DEPTH:
-            raise TolTooTight(f"no witness level within diagram depth {_WITNESS_DEPTH}")
+    level, lo, hi = found
 
     src = LimitObjectDescriptor(theta, PLUS)
     dst = LimitObjectDescriptor(theta_prime, MINUS)

@@ -559,3 +559,38 @@ def cover_recursive(iv, c, d, fuel: int):
     if mid <= c:
         return cover_recursive(right, c, d, fuel - 1)
     return cover_recursive(left, c, mid, fuel - 1) + cover_recursive(right, mid, d, fuel - 1)
+
+
+# -- the witness line from the two-ended diagram ---------------------------
+
+
+def witness_by_two_ended_search(theta: IrrationalNumber, theta_prime: IrrationalNumber, r: ReducedFraction):
+    """The witness chain from the whole two-ended diagram of (theta,
+    theta_prime): sort its upper-arc labels into one line, find
+    bottom(theta, theta_prime) in it, and take the first level n whose
+    neighbours n steps away straddle r with denominators above r's.  The
+    depth doubles from 8 with no cap."""
+    from fareyslopes.cfrac import bottom
+    from fareyslopes.farey import farey_diagram
+    from fareyslopes.sheaves import (
+        MINUS, PLUS, ChainArrow, LimitObjectDescriptor, StableClass, WitnessChain, _rational_arrow,
+    )
+
+    base, depth = bottom(theta, theta_prime), 8
+    while True:
+        line = sorted(fraction for _, fraction in farey_diagram(theta, theta_prime, depth).left_labels)
+        if base in line:
+            anchor = line.index(base)
+            for n in range(1, min(anchor, len(line) - 1 - anchor) + 1):
+                lo, hi = line[anchor - n], line[anchor + n]
+                if lo < r < hi and lo.q > r.q and hi.q > r.q:
+                    src, dst = LimitObjectDescriptor(theta, PLUS), LimitObjectDescriptor(theta_prime, MINUS)
+                    o_lo, o_r, o_hi = (StableClass.from_fraction(x) for x in (lo, r, hi))
+                    arrows = (
+                        ChainArrow(src, o_lo, "surjection"),
+                        _rational_arrow(o_lo, o_r),
+                        _rational_arrow(o_r, o_hi),
+                        ChainArrow(o_hi, dst, "injection"),
+                    )
+                    return WitnessChain(theta, theta_prime, r, n, (src, o_lo, o_r, o_hi, dst), arrows)
+        depth *= 2

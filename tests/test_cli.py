@@ -289,6 +289,9 @@ _BAD_INPUT = [
     (2, "render svg tessellation --depth 2 --far 2/1",
      "render tessellation takes --theta and --far together"),
     (2, "render svg coaster --theta '[1;(1)]' --far 2/1", "render coaster takes no --far"),
+    # a grid line per integer up to the largest coordinate: 252 703 a side here
+    (2, "render svg coaster --theta '[2;(50)]' --depth 1",
+     "the coaster's grid has more than 65537 lines a side, the most this command draws"),
     (2, "render svg tessellation --theta '[1;(1)]' --far 2/1 --format json",
      "render tessellation --format json prints the depth only: drop --theta and --far"),
     (3, "render svg coaster --theta '[1;1,1]' --depth 6"),

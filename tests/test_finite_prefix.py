@@ -191,5 +191,8 @@ def test_finite_prefix_sheaves_match_or_exhaust(pair, n1, n2, r, depth):
         assert got == _unslope(fn(*slopes), *slopes)
     assert _answer_from_prefixes(farey_type_image, (lo, hi), (n1, n2)) == farey_type_image(lo, hi)
     base = bottom(lo, hi)
-    chain = _answer_from_prefixes(lambda a, b: _unslope(witness_image_chain(a, b, base), a, b), (lo, hi), (n1, n2))
-    assert chain == _unslope(witness_image_chain(lo, hi, base), lo, hi)
+    # l_0 itself, then l_-1 and l_1: the prefixes must carry each one-ended fan past its first label
+    below, above = farey_diagram(lo, base, 1).left_labels[0][1], farey_diagram(hi, base, 1).right_labels[0][1]
+    for point in (base, below, above):
+        chain = _answer_from_prefixes(lambda a, b: _unslope(witness_image_chain(a, b, point), a, b), (lo, hi), (n1, n2))
+        assert chain == _unslope(witness_image_chain(lo, hi, point), lo, hi)

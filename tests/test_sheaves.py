@@ -2,13 +2,15 @@ import hashlib
 import json
 import math
 import random
+import time
 
 import pytest
 
 from fareyslopes import sheaves
-from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix
-from fareyslopes.errors import PrecisionExhausted, TolTooTight
+from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix, _slopes_equal, bottom, slope_lt
+from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import INFINITY, ReducedFraction as F
+from fareyslopes.farey import farey_diagram
 from fareyslopes.sheaves import (
     FINITE_DIVISION_ALGEBRA_BOUND,
     MINUS,
@@ -32,7 +34,7 @@ from fareyslopes.sheaves import (
     _tail_bounded_by_two,
 )
 
-from _oracles import mediant_generated_triangles, random_theta
+from _oracles import mediant_generated_triangles, random_theta, witness_by_two_ended_search
 
 golden = EventuallyPeriodic((1,), (1,))
 sqrt2 = EventuallyPeriodic((1,), (2,))
@@ -402,13 +404,38 @@ def test_limit_descriptor_to_dict_and_scaled_dims():
     assert DimPair(3, 1).scaled(0) == DimPair(0, 0)
 
 
-def test_witness_depth_cap_raises_tol_too_tight(monkeypatch):
-    # 3363/2378 is a convergent of sqrt 2: its witness needs diagram depth 32
-    with monkeypatch.context() as patch:
-        patch.setattr(sheaves, "_WITNESS_DEPTH", 8)
-        with pytest.raises(TolTooTight, match="^no witness level within diagram depth 8$"):
-            witness_image_chain(sqrt2, golden, F(3363, 2378))
+@pytest.mark.parametrize("a", [4095, 4096, 4097, 10**4, 10**5])
+def test_witness_past_long_quotient_runs(a):
+    # [0;(a)] < 1/a < [0;a-1,(1)]: the level-1 ends lie past runs of a labels
+    theta, theta_prime = EventuallyPeriodic((0,), (a,)), EventuallyPeriodic((0, a - 1), (1,))
+    start = time.perf_counter()
+    chain = witness_image_chain(theta, theta_prime, F(1, a))
+    assert time.perf_counter() - start < 0.1
+    lo, hi = chain.nodes[1], chain.nodes[3]
+    assert chain.level == 1
+    assert lo.degree * a < lo.rank and hi.degree * a > hi.rank
+    assert lo.rank > a and hi.rank > a
+
+
+def test_witness_level_of_a_deep_convergent():
+    # 3363/2378 is a convergent of sqrt 2: its ends lie nine labels out
     assert witness_image_chain(sqrt2, golden, F(3363, 2378)).level == 9
+
+
+def test_witness_matches_the_two_ended_search():
+    rng = random.Random(32)
+    for _ in range(300):
+        x, y = random_theta(rng, 0, 2), random_theta(rng, 0, 2)  # quotients up to 4
+        if _slopes_equal(x, y):
+            continue
+        lo, hi = (x, y) if slope_lt(x, y) else (y, x)
+        base = bottom(lo, hi)
+        depth = rng.randint(1, 12)
+        line = [base] + [f for _, f in farey_diagram(lo, base, depth).left_labels]
+        line += [f for _, f in farey_diagram(hi, base, depth).right_labels]
+        r = rng.choice(line)
+        want = witness_by_two_ended_search(lo, hi, r).to_dict()
+        assert json.dumps(witness_image_chain(lo, hi, r).to_dict()) == json.dumps(want)
 
 
 # -- multiplicities -------------------------------------------------------------------
