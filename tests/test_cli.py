@@ -602,6 +602,19 @@ _OTHER_BYTES = {
     "cf semiconvergents '[1;(2)]' -n 1": (0, "bee632722ccf0621718b94cd180bcfad9399463caf82d9868fab9c1bde8af780"),
     "farey tree '[1;(1)]' 2/1 --depth 2": (0, "ab53d7494d320b450c38dc507533c58e6d61fd1cbe83a85e0d206b798c20a512"),
     "farey coaster '[1;(2)]' --depth 2": (0, "642552e1cdf61486ba49be0fb8496bd50f684c7361c7e5263fda671c6585fb77"),
+    "farey coaster '[0;(3,1)]' --depth 3": (0, "10e01f185030dc4681442132887c5b954039ee454797fa6e8169f747fcc9057e"),
+    "farey coaster '[-2;1,(2,3)]' --depth 4": (0, "df479100530445b0f85617ba942bc429e53876b785d65922bf1b12b3837973dc"),
+    "farey coaster '[2;(150)]' --depth 2": (0, "b227b43cfd96308a36250fbe696269f4aa5f135d3df8a7e4dbf8e4b43a880bca"),
+    "farey coaster '[1;5,(1,2,3)]' --depth 5": (0, "9094d863fb0a624b9512561b0feb45a6cd3847eb13d47a1b801df835987ee12b"),
+    "render svg coaster --theta '[1;(1,3)]' --depth 4 --size 64": (
+        0, "6b5af4518fbe10926bf34a344a9525ec46c13d4aa46b4c7fd394fb1d01e42fb3"
+    ),
+    "sheaf enumerate --max-rank 13 --max-degree 4": (
+        0, "68837b876a8c77704f5738a9a8c23d214824a281687eccfa5ca92c0e5f64d30c"
+    ),
+    "sheaf enumerate --max-rank 5 --max-degree 11": (
+        0, "6a049e333b961f3047184dd74dfbce8a0d806bff9cd88aa00566112119aa8c68"
+    ),
     "sheaf kclass '[1;(2)]' --depth 3": (0, "c06c39b5d6e70b8bdfc394c5960a6b89f6ce9fd64de5520d79c94e3ef1ff2ee8"),
     "divide tree '[1;(1)]' 2/1 --depth 2": (0, "e61c4886db89d6398e04010b516d836e87e28e4cde67a7d8bbd4cb0b2b393910"),
     "divide rank '[1;(1)]' 2/1 1/5 1/100": (0, "a8845ca9d2656d67350d6fff27d00c53bf027c5d9d81699f54601ec69ab4054e"),
