@@ -505,40 +505,38 @@ class RollerCoaster(Value):
     """Semiconvergent fan families of a slope as a directed complex.
 
     Vertices are the semiconvergents beta_{i,m} (family i >= -1, step m)
-    including 1/0; family i spans the fan between convergents beta_i and
-    beta_{i+2} with apex beta_{i+1}.  Edges are the triangle edges,
-    directed smaller fraction -> larger fraction, each labeled with the
-    normalized vector difference of its endpoints, which is always the
-    third vertex of exactly one triangle containing that edge.  Exterior
-    edges are the same-family consecutive ones plus (beta_0, 1/0); the
-    cross-apex edges are interior.
+    including 1/0, keyed in ``family_index`` to the (family, step) of their
+    first appearance, in that order; family i spans the fan between
+    convergents beta_i and beta_{i+2} with apex beta_{i+1}.  ``edge_table``
+    maps each triangle edge (small, large), directed smaller -> larger, to
+    its (label, class): the label is the normalized vector difference of the
+    endpoints, always the third vertex of exactly one triangle containing
+    that edge; exterior edges are the same-family consecutive ones plus
+    (beta_0, 1/0), and the cross-apex edges are interior.
     """
 
-    __slots__ = ("theta", "depth", "vertices", "family_index", "triangles", "labels", "classes")
+    __slots__ = ("theta", "depth", "family_index", "triangles", "edge_table")
 
-    def __init__(self, theta: IrrationalNumber, depth: int, vertices: list[ReducedFraction], family_index: dict,
-                 triangles: list[FareyTriangle], labels: dict, classes: dict):
-        # family_index: vertex -> (family, step) of first appearance; labels and
-        # classes: (small, large) -> label fraction, and "exterior" | "interior"
-        self._init(theta, depth, vertices, family_index, triangles, labels, classes)
+    def __init__(self, theta: IrrationalNumber, depth: int, family_index: dict, triangles: list[FareyTriangle],
+                 edge_table: dict):
+        self._init(theta, depth, family_index, triangles, edge_table)
+
+    @property
+    def vertices(self) -> list[ReducedFraction]:
+        return list(self.family_index)
 
     def edges(self) -> list[tuple[ReducedFraction, ReducedFraction]]:
-        return list(self.labels)
+        return list(self.edge_table)
 
     def to_dict(self) -> dict:
         return {
             "theta": str(self.theta),
             "depth": self.depth,
-            "vertices": [str(v) for v in self.vertices],
+            "vertices": [str(v) for v in self.family_index],
             "triangles": [t.to_dict() for t in self.triangles],
             "edges": [
-                {
-                    "from": str(a),
-                    "to": str(b),
-                    "label": str(self.labels[(a, b)]),
-                    "class": self.classes[(a, b)],
-                }
-                for (a, b) in self.labels
+                {"from": str(a), "to": str(b), "label": str(label), "class": cls}
+                for (a, b), (label, cls) in self.edge_table.items()
             ],
         }
 
@@ -553,40 +551,30 @@ def roller_coaster(theta: IrrationalNumber, depth: int) -> RollerCoaster:
         # every vertex by the same integer and changes no quotient past a0
         theta = theta.translated(1 - theta.quotient(0))
 
-    vertices: list[ReducedFraction] = []
     family_index: dict = {}
     triangles: list[FareyTriangle] = []
-    labels: dict = {}
-    classes: dict = {}
-
-    def add_vertex(v: ReducedFraction, fam: int, step: int) -> None:
-        if v not in family_index:
-            family_index[v] = (fam, step)
-            vertices.append(v)
+    edge_table: dict = {}
 
     def add_edge(a: ReducedFraction, b: ReducedFraction, cls: str) -> None:
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        if key in labels:
-            if classes[key] != cls and cls != "interior":
-                raise AssertionError(f"edge {a}--{b} is both {classes[key]} and {cls}")
-            return
-        labels[key] = _difference_vertex(b, a)
-        classes[key] = cls
+        key = (a, b) if a < b else (b, a)
+        known = edge_table.get(key)
+        if known is None:
+            edge_table[key] = (_difference_vertex(key[1], key[0]), cls)
+        elif known[1] != cls and cls != "interior":
+            raise AssertionError(f"edge {key[0]}--{key[1]} is both {known[1]} and {cls}")
 
     for i in range(-1, depth + 1):
         row = semiconvergents(theta, i)
         apex = theta.convergent(i + 1)
         for m, v in enumerate(row):
-            add_vertex(v, i, m)
+            family_index.setdefault(v, (i, m))
         for m, (u, v) in enumerate(zip(row, row[1:])):
             triangles.append(FareyTriangle((u, v, apex)))
             add_edge(u, v, "exterior")
             add_edge(u, apex, "exterior" if (i == -1 and m == 0) else "interior")
             add_edge(v, apex, "interior")
 
-    return RollerCoaster(theta, depth, vertices, family_index, triangles, labels, classes)
+    return RollerCoaster(theta, depth, family_index, triangles, edge_table)
 
 
 def shortest_path_bundle(
@@ -596,14 +584,21 @@ def shortest_path_bundle(
 
     Directed edges run from the smaller fraction to the larger, so a path
     exists only if start < end (and both are coaster vertices); raises
-    NoPath otherwise.  A second shortest path raises AssertionError.
+    NoPath otherwise.
+
+    The shortest path is unique, so counting them checks an invariant: the
+    vertices below theta form one chain and those above another, edges
+    within a chain join neighbours, and every other edge crosses theta
+    upward.  A path thus climbs the lower chain, crosses once and climbs the
+    upper one; along the strip each crossing edge moves one end one step, so
+    the usable crossings form a tail on which the path length strictly grows.
     """
     if start not in rc.family_index or end not in rc.family_index:
         raise NoPath(f"{start} or {end} is not a vertex of this roller coaster")
     if start == end:
         return []
     successors: dict = {}
-    for a, b in rc.labels:
+    for a, b in rc.edge_table:
         successors.setdefault(a, []).append(b)
     dist = {start: 0}
     ways = {start: 1}
@@ -629,7 +624,7 @@ def shortest_path_bundle(
     v = end
     while v != start:
         u = parent[v]
-        path.append(rc.labels[(u, v) if u < v else (v, u)])
+        path.append(rc.edge_table[u, v][0])  # edges point up, so u < v
         v = u
     path.reverse()
     return path

@@ -161,10 +161,9 @@ _VALUES = {
         "depth=1)",
     ),
     "RollerCoaster": (
-        RollerCoaster(theta=golden, depth=1, vertices=[F(1, 0)], family_index={F(1, 0): (-1, 0)}, triangles=[],
-                      labels={}, classes={}),
-        f"RollerCoaster(theta={_G}, depth=1, vertices=[ReducedFraction(1, 0)], "
-        "family_index={ReducedFraction(1, 0): (-1, 0)}, triangles=[], labels={}, classes={})",
+        RollerCoaster(theta=golden, depth=1, family_index={F(1, 0): (-1, 0)}, triangles=[], edge_table={}),
+        f"RollerCoaster(theta={_G}, depth=1, family_index={{ReducedFraction(1, 0): (-1, 0)}}, triangles=[], "
+        "edge_table={})",
     ),
     "DimPair": (DimPair(dim=3, ht=1), "DimPair(dim=3, ht=1)"),
     "StableClass": (_STABLE, "StableClass(degree=5, rank=3)"),

@@ -546,14 +546,13 @@ def test_roller_coaster_golden():
         frozenset({F(2, 1), F(5, 3), F(3, 2)}),
         frozenset({F(3, 2), F(8, 5), F(5, 3)}),
     ]
-    assert rc.labels[(F(1, 1), F(2, 1))] == INFINITY
-    assert rc.labels[(F(1, 1), F(3, 2))] == F(2, 1)
-    assert rc.classes[(F(1, 1), INFINITY)] == "exterior"
-    assert rc.classes[(F(2, 1), INFINITY)] == "exterior"
-    assert rc.classes[(F(1, 1), F(2, 1))] == "interior"
-    assert rc.classes[(F(1, 1), F(3, 2))] == "exterior"
-    assert rc.classes[(F(3, 2), F(2, 1))] == "interior"
-    assert rc.classes[(F(5, 3), F(2, 1))] == "exterior"
+    assert rc.vertices == [INFINITY, F(2, 1), F(1, 1), F(3, 2), F(5, 3), F(8, 5)]
+    assert rc.edge_table[F(1, 1), F(2, 1)] == (INFINITY, "interior")
+    assert rc.edge_table[F(1, 1), F(3, 2)] == (F(2, 1), "exterior")
+    assert rc.edge_table[F(1, 1), INFINITY][1] == "exterior"
+    assert rc.edge_table[F(2, 1), INFINITY][1] == "exterior"
+    assert rc.edge_table[F(3, 2), F(2, 1)][1] == "interior"
+    assert rc.edge_table[F(5, 3), F(2, 1)][1] == "exterior"
 
 
 def test_roller_coaster_edge_labels_are_vector_differences():
@@ -562,7 +561,7 @@ def test_roller_coaster_edge_labels_are_vector_differences():
         # edges at the truncation boundary complete one family deeper
         deeper = roller_coaster(theta, 5)
         base = rc.theta.convergent(0)  # rc.theta is the translated slope
-        for (a, b), label in rc.labels.items():
+        for (a, b), (label, _) in rc.edge_table.items():
             dp, dq = b.p - a.p, b.q - a.q
             if dq < 0 or (dq == 0 and dp < 0):
                 dp, dq = -dp, -dq
