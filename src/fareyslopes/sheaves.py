@@ -296,11 +296,11 @@ def enumerate_minimal_triangles(
     """Every minimal triangle whose three classes have rank <= max_rank and
     |degree| <= max_degree (default: max_rank).
 
-    A triangle is pinned down by its outer pair: adjacency |det| = 1 and
-    increasing slopes force the middle class to be the vector sum, so a
-    double loop over candidate outer classes finds them all.  Torsion can
-    only be the top vertex (slope infinity), where it caps the fan triangles
-    (n, n+1, point class).
+    The triangles are those of the Farey tessellation, grown by mediant
+    insertion from the integer fence (k, k+1, point class): torsion can only
+    be the top vertex, and a triangle (e, e+g, g) splits into (e, 2e+g, e+g)
+    and (e+g, e+2g, g).  A rejected mediant ends its branch, as each later
+    one has a larger rank and a degree no smaller in absolute value.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
@@ -308,29 +308,19 @@ def enumerate_minimal_triangles(
     if window < 1:
         raise ValueError("max_degree must be >= 1")
 
-    bundles = [
-        StableClass(d, r)
-        for r in range(1, max_rank + 1)
-        for d in range(-window, window + 1)
-        if math.gcd(abs(d), r) == 1
-    ]
-    tops = bundles + [StableClass(1, 0)]
-
-    triples = []
-    for e in bundles:
-        for g in tops:
-            if e.rank + g.rank > max_rank:
-                continue
-            if abs(e.degree + g.degree) > window:
-                continue
-            if abs(_det(e.vector(), g.vector())) != 1:
-                continue
-            if not e.slope() < g.slope():
-                continue
-            f = StableClass(e.degree + g.degree, e.rank + g.rank)
-            if not is_minimal_triangle(e, f, g):
-                raise AssertionError(f"{e}, {f}, {g} is not a minimal triangle")
-            triples.append((e, f, g))
+    point = StableClass(1, 0)
+    triples = [(StableClass(k, 1), StableClass(k + 1, 1), point) for k in range(-window, window)]
+    stack = [(e, f) for e, f, _ in triples]
+    while stack:
+        e, g = stack.pop()
+        f = StableClass(e.degree + g.degree, e.rank + g.rank)
+        if f.rank > max_rank or abs(f.degree) > window:
+            continue
+        triples.append((e, f, g))
+        stack += ((e, f), (f, g))
+    for e, f, g in triples:
+        if not is_minimal_triangle(e, f, g):
+            raise AssertionError(f"{e}, {f}, {g} is not a minimal triangle")
     triples.sort(key=lambda t: (t[1].degree, t[1].rank, t[0].degree, t[0].rank))
     return triples
 

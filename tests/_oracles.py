@@ -140,6 +140,41 @@ def mediant_generated_triangles(max_rank: int, window: int):
     return triangles
 
 
+def pair_scan_triangles(max_rank: int, window: int):
+    """The minimal triangles with every rank <= max_rank and |degree| <=
+    window, as `enumerate_minimal_triangles` lists them, by scanning every
+    pair of candidate outer classes: adjacency |det| = 1 and increasing
+    slopes force the middle class to be the vector sum.  Torsion can only be
+    the top vertex (slope infinity), where it caps the fan triangles
+    (n, n+1, point class).  O(N^2) in the number of candidates.
+
+    It builds the library's StableClass, so the two lists compare directly.
+    """
+    from fareyslopes.sheaves import StableClass
+
+    bundles = [
+        StableClass(d, r)
+        for r in range(1, max_rank + 1)
+        for d in range(-window, window + 1)
+        if math.gcd(abs(d), r) == 1
+    ]
+    tops = bundles + [StableClass(1, 0)]
+    triples = []
+    for e in bundles:
+        for g in tops:
+            if e.rank + g.rank > max_rank:
+                continue
+            if abs(e.degree + g.degree) > window:
+                continue
+            if abs(e.degree * g.rank - g.degree * e.rank) != 1:
+                continue
+            if not e.slope() < g.slope():
+                continue
+            triples.append((e, StableClass(e.degree + g.degree, e.rank + g.rank), g))
+    triples.sort(key=lambda t: (t[1].degree, t[1].rank, t[0].degree, t[0].rank))
+    return triples
+
+
 def game_rest_positions(theta, r, c, d, n):
     """Independent bead construction: drop every level-n piece of the division
     tree into [c, d], then merge sibling pairs bottom-up until nothing moves.

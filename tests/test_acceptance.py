@@ -47,6 +47,7 @@ from _oracles import (
     game_rest_positions,
     interior_lattice_points,
     mediant_generated_triangles,
+    pair_scan_triangles,
     random_theta,
     simplest_between,
 )
@@ -88,6 +89,7 @@ def test_criterion_02_minimal_triangle_bijection():
         enum = enumerate_minimal_triangles(30)
         got = {(e.slope(), f.slope(), g.slope()) for e, f, g in enum}
         assert got == mediant_generated_triangles(30, 30)
+        assert enum == pair_scan_triangles(30, 30)
         assert len(got) == len(enum)  # no duplicates
         for e, f, g in enum:
             v1, v2 = e.vector(), g.vector()

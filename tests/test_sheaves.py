@@ -34,7 +34,7 @@ from fareyslopes.sheaves import (
     _tail_bounded_by_two,
 )
 
-from _oracles import mediant_generated_triangles, random_theta, witness_by_two_ended_search
+from _oracles import mediant_generated_triangles, pair_scan_triangles, random_theta, witness_by_two_ended_search
 
 golden = EventuallyPeriodic((1,), (1,))
 sqrt2 = EventuallyPeriodic((1,), (2,))
@@ -140,12 +140,12 @@ def test_rank_one_enumeration():
 
 def test_enumeration_matches_mediant_tree():
     for max_rank in (2, 5, 8):
-        got = {
-            (e.slope(), f.slope(), g.slope())
-            for e, f, g in enumerate_minimal_triangles(max_rank)
-        }
-        want = mediant_generated_triangles(max_rank, max_rank)
-        assert got == want
+        enum = enumerate_minimal_triangles(max_rank)
+        got = {(e.slope(), f.slope(), g.slope()) for e, f, g in enum}
+        assert got == mediant_generated_triangles(max_rank, max_rank)
+        assert enum == pair_scan_triangles(max_rank, max_rank)
+    for max_rank, window in ((13, 4), (5, 11), (1, 3), (7, 1)):
+        assert enumerate_minimal_triangles(max_rank, window) == pair_scan_triangles(max_rank, window)
 
 
 def test_is_minimal_triangle_agrees_with_membership():
