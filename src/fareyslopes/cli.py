@@ -363,7 +363,7 @@ def _render_object(args):
 
 def _cmd_render_svg(args):
     from .farey import farey_diagram
-    from .render import RenderSpec, render_svg
+    from .render import RenderSpec, _coaster_span, render_svg
     depth = _capped(args.depth) if args.kind in ("tessellation", "tree") else args.depth
     style = _load_style(args.config)
     if depth < 1:
@@ -384,8 +384,7 @@ def _cmd_render_svg(args):
             raise ValueError("--out writes SVG; --format json prints to stdout")
         return obj if isinstance(obj, int) else obj.to_dict()
     if args.kind == "coaster":
-        # the picture draws a grid line for each integer up to its largest coordinate + 1, in each direction
-        span = max((max(v.q, v.p) for v in obj.vertices if not v.is_infinite), default=0) + 1
+        span = _coaster_span(obj)
         if span + 1 > _ROW_CAP:
             raise ValueError(f"the coaster's grid has more than {_ROW_CAP} lines a side, the most this command draws")
     svg = render_svg(RenderSpec(args.model, highlight, args.size, style), obj)

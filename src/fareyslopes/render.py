@@ -279,15 +279,18 @@ def _render_tree(spec: RenderSpec, tree: FareyTree) -> str:
     return _svg_document(body, spec.size_px, viewbox)
 
 
+def _coaster_span(rc: RollerCoaster) -> int:
+    """The largest finite coordinate + 1, up to which the coaster's grid runs."""
+    return max((max(v.q, v.p) for v in rc.family_index if not v.is_infinite), default=0) + 1
+
+
 def _render_coaster(spec: RenderSpec, rc: RollerCoaster) -> str:
     """Lattice picture: p/q at the point (q, p), fan line of slope theta."""
     style = spec.style
     pts = [(v.q, v.p) for v in rc.vertices if not v.is_infinite]
     if not pts:
         raise UnsupportedObject("roller coaster has no finite vertices")
-    max_q = max(q for q, _ in pts)
-    max_p = max(p for _, p in pts)
-    span = max(max_q, max_p) + 1
+    span = _coaster_span(rc)
     theta_val = rc.theta.approx()
 
     def sxy(q: float, p: float) -> Tuple[float, float]:
