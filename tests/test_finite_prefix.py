@@ -1,19 +1,47 @@
-"""FinitePrefix truncations of eventually periodic slopes: each answer of
-`slope_lt`, `bottom`, `cutting_sequence`, `semiconvergents`,
-`roller_coaster`, `farey_diagram`, `theta_product` and the `sheaves`
-functions that compare slopes matches the full slope's, or
+"""FinitePrefix truncations of eventually periodic slopes: each answer of a
+public function that takes a slope matches the full slope's, or
 PrecisionExhausted names a depth that lets a longer prefix make progress.
 Where the walking oracles answer on a truncation, the library answers too,
-with the same result."""
+with the same result.  A guard keeps every such function covered."""
 
+import inspect
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings, strategies as st
 
-from fareyslopes.cfrac import EventuallyPeriodic, FinitePrefix, semiconvergents
+import fareyslopes
+from fareyslopes.cfrac import (
+    EventuallyPeriodic,
+    FinitePrefix,
+    compare_theta_rational,
+    convergents,
+    semiconvergent,
+    semiconvergents,
+)
+from fareyslopes.division import (
+    approximate_rank,
+    beads,
+    division_points,
+    root_interval,
+    rotated_rank,
+    ses_check,
+)
 from fareyslopes.errors import PrecisionExhausted
 from fareyslopes.exact import ReducedFraction
-from fareyslopes.farey import bottom, cutting_sequence, farey_diagram, roller_coaster, slope_lt, theta_product
+from fareyslopes.farey import (
+    bottom,
+    cutting_sequence,
+    farey_diagram,
+    farey_tree,
+    left_right_vertices,
+    roller_coaster,
+    slope_lt,
+    theta_product,
+)
+from fareyslopes.invariants import LowerBoundOnly, c_theta, d_chain
+from fareyslopes.lattice import theta_norm
 from fareyslopes.sheaves import (
     MINUS,
     PLUS,
@@ -196,3 +224,98 @@ def test_finite_prefix_sheaves_match_or_exhaust(pair, n1, n2, r, depth):
     for point in (base, below, above):
         chain = _answer_from_prefixes(lambda a, b: _unslope(witness_image_chain(a, b, point), a, b), (lo, hi), (n1, n2))
         assert chain == _unslope(witness_image_chain(lo, hi, point), lo, hi)
+
+
+def _lattice(x):
+    return x.m, x.n
+
+
+def _bead(bead):
+    """A bead without its slope: its ends, labels, summands and rank."""
+    return tuple(map(_lattice, bead.interval)), bead.labels, bead.summands, _lattice(bead.rank_theta)
+
+
+def _ses(report):
+    return _bead(report.sub), _bead(report.whole), _bead(report.quotient), report.passed
+
+
+def _points(t, a):
+    """The three drawn division points of t's tree at the drawn depth."""
+    points = division_points(t, a.window, a.depth)
+    return [points[k] for k in a.ends]
+
+
+# One row per public function that takes a slope: the call on slope t and the
+# drawn arguments `a`, answering with what does not name t.
+_ROWS = {
+    "compare_theta_rational": lambda t, a: compare_theta_rational(t, a.r),
+    "convergents": lambda t, a: convergents(t, a.i + 1).rows,
+    "semiconvergent": lambda t, a: semiconvergent(t, a.i, a.m),
+    "theta_norm": lambda t, a: _lattice(theta_norm(a.r, t)),
+    "d_chain": lambda t, a: d_chain(t, a.depth),
+    "left_right_vertices": lambda t, a: left_right_vertices(t, a.r),
+    "farey_tree": lambda t, a: dict(farey_tree(t, a.r, a.depth).to_dict(), theta=None),
+    "root_interval": lambda t, a: root_interval(t, a.window).to_dict(),
+    "rotated_rank": lambda t, a: _lattice(rotated_rank(a.stable, t)),
+    "division_points": lambda t, a: [_lattice(x) for x in division_points(t, a.window, a.depth)],
+    "beads": lambda t, a: _bead(beads(t, a.window, *_points(t, a)[0::2])),
+    "ses_check": lambda t, a: _ses(ses_check(t, a.window, *_points(t, a))),
+    "approximate_rank": lambda t, a: [_bead(b) for b in approximate_rank(t, a.window, a.target, a.tol)],
+}
+
+# The functions checked apart from the rows, with the test that checks each.
+_COVERED_ELSEWHERE = {
+    "bottom": "test_finite_prefix_matches_or_exhausts",
+    "cutting_sequence": "test_finite_prefix_matches_or_exhausts",
+    "semiconvergents": "test_finite_prefix_matches_or_exhausts",
+    "roller_coaster": "test_finite_prefix_matches_or_exhausts",
+    "farey_diagram": "test_finite_prefix_diagrams_and_products",
+    "theta_product": "test_finite_prefix_diagrams_and_products",
+    "farey_type_image": "test_finite_prefix_sheaves_match_or_exhaust",
+    "kclass_colimit_check": "test_finite_prefix_sheaves_match_or_exhaust",
+    "witness_image_chain": "test_finite_prefix_sheaves_match_or_exhaust",
+    "bounded_quotients": "test_invariants.py::test_bounded_quotients_needed_depth_answers",
+    "c_theta": "test_finite_prefix_entry_points_match_or_exhaust, as bounds only",
+}
+
+
+@st.composite
+def _args(draw, x):
+    """The arguments a row draws besides its slope x."""
+    r, depth = draw(_FRACTION), draw(st.integers(1, 6))
+    window = x.convergent(2 * draw(st.integers(0, 2)) + 1)  # above x by less than 1, as beads need
+    length = Fraction(root_interval(x, window).real_length()).limit_denominator(10**6)
+    return SimpleNamespace(
+        r=r, stable=StableClass.from_fraction(r), i=draw(st.integers(-1, 8)), m=draw(st.integers(0, 9)), depth=depth,
+        window=window, ends=sorted(draw(st.lists(st.integers(0, 2**depth), min_size=3, max_size=3, unique=True))),
+        target=length * Fraction(draw(st.integers(1, 99)), 100), tol=Fraction(1, 10 ** draw(st.integers(1, 5))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_slope_pairs(), st.integers(1, 60), st.data())
+def test_finite_prefix_entry_points_match_or_exhaust(pair, n, data):
+    x = pair[0]
+    a = data.draw(_args(x))
+    for name, row in _ROWS.items():
+        assert _answer_from_prefixes(lambda t: row(t, a), (x,), (n,)) == row(x, a), name
+    # c_theta folds a prefix's quotients into bounds only: each is a multiple
+    # of the true c_i, which past the entries the full report lists is its limit
+    full = c_theta(x)
+    report = _answer_from_prefixes(c_theta, (x,), (n,))
+    assert isinstance(report.status, LowerBoundOnly)
+    for i, bound in report.c_values:
+        assert bound % dict(full.c_values).get(i, full.status.c) == 0
+
+
+def test_every_slope_taking_entry_point_has_a_row():  # guard
+    takes_slope = {
+        name
+        for names in fareyslopes._PUBLIC.values()
+        for name in names.split()
+        if inspect.isfunction(fn := getattr(fareyslopes, name))
+        and any("IrrationalNumber" in str(p.annotation) for p in inspect.signature(fn).parameters.values())
+    }
+    rows = set(_ROWS) | set(_COVERED_ELSEWHERE)
+    assert sorted(takes_slope - rows) == []  # a slope-taking function without a row
+    assert sorted(rows - takes_slope) == []  # a row whose function no longer takes a slope
