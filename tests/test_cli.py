@@ -589,6 +589,24 @@ _OTHER_BYTES = {
     "sheaf multiplicity 3/2 1/1": (0, "7d08b4f9e31230d0b01ae4b7766636dd0fcd8f318c2ce5113f5a15a606d064a8"),
     "cf dchain '[1;(2)]' -n 4": (0, "18786dd9aa2a36f8a5ebed48f961fa5baa57121e2eed64fd941f41078a07edb2"),
     "cf ctheta '[1;2,3,4]'": (0, "77c3c8361fb6ba132bec636af4560693d72b877f0527f554bf6cd55b684b6d38"),
+    # c(θ) chains that vary: prefix chains [1,2], [1,2,10] and [1,2,10,510]; an odd
+    # preperiod ([1,2,4,4,4]); an even preperiod with period 2 ([1,3,6,6,6,6])
+    "cf ctheta '[1;1,1,1,6,1,110,1,1040910]' --budget 5": (
+        0, "1b6a5eb6403d7fafae440cadda9f87e9f4782640222f05e6cfd535bbbf29d536"
+    ),
+    "cf ctheta '[1;1,1,1,6,1,110,1,1040910]' --budget 7": (
+        0, "e81b8f3bfa394f1a05e0cf28b16899f7727be7fca24620a44f5157ddfee736cd"
+    ),
+    "cf ctheta '[1;1,1,1,6,1,110,1,1040910]' --budget 8": (
+        0, "7b4cafbaddfd52c8464d4ddabbbbdff52a935e87dfb7b587d5acbabc6c7aee93"
+    ),
+    "cf ctheta '[3;3,3,6,2,(4)]'": (0, "4339c3752f88873aea28440bbf37a68802d0d49d75c7fde089ccb86be86f79dc"),
+    "cf ctheta '[2;1,2,12,3,1,(12,6)]'": (0, "c6b107586c7d626d1ce2e93cd51af06872e3c9b04e7ee870e4df1da117218e7f"),
+    "sheaf bound '[3;3,3,6,2,(4)]'": (0, "ebad2704f5fd1ad6b3d50f513b099e31bb1726d833a3d936524131654e2c7892"),
+    "sheaf bound '[2;1,2,12,3,1,(12,6)]'": (0, "c0d4c9e473d0b6df1ee85944a361478ba4d9ccc4fb54cb1a70fba3653f80b4c4"),
+    "sheaf classify '[0;1,1,12,4,(12)]-' '[0;1,1,12,4,(12)]-'": (
+        0, "f448e0e74ccdb9dc69a86e98b77ca27c8d677d0aa623e991b1c4bdfa249e0dc5"
+    ),
     "cf construct --seed x": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "render svg diagram --theta '[1;(1)]' --far 2/1 --depth 4 --size 64": (
         0, "047a8e04cb1aebfd11aef75f908e29e244e12f7d7d7b0ae39add1714ddbcfe24"
