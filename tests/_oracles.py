@@ -540,6 +540,30 @@ def c_theta_by_state_cycle(theta: EventuallyPeriodic):
         i += 1
 
 
+def c_theta_by_refolding(theta: IrrationalNumber, budget: int):
+    """(c_values, last) of `c_theta` on a FinitePrefix: each c_i folds
+    q_2i with every even-index quotient up to the cutoff min(available
+    depth, budget) afresh, which is quadratic in the cutoff."""
+    cutoff = min(theta.available_depth(), budget)
+    top_even = cutoff - (cutoff % 2)
+    if top_even < 2:
+        raise PrecisionExhausted(
+            "need at least the quotient a2 to fold a gcd", needed_depth=3
+        )
+    c_values = []
+    last = None
+    i = 0
+    while 2 * i + 2 <= top_even:
+        _, q2i = theta.convergent_pair(2 * i)
+        g = q2i
+        for j in range(2 * i + 2, top_even + 1, 2):
+            g = math.gcd(g, theta.quotient(j))
+        c_values.append((i, g))
+        last = g
+        i += 1
+    return c_values, last
+
+
 # -- the division tree by exact comparisons --------------------------------
 
 

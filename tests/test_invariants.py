@@ -27,7 +27,12 @@ from fareyslopes.invariants import (
     special_conditions_hold,
 )
 
-from _oracles import c_theta_by_state_cycle, random_theta, special_conditions_by_factoring
+from _oracles import (
+    c_theta_by_refolding,
+    c_theta_by_state_cycle,
+    random_theta,
+    special_conditions_by_factoring,
+)
 
 golden = EventuallyPeriodic((1,), (1,))
 sqrt2 = EventuallyPeriodic((1,), (2,))
@@ -152,6 +157,34 @@ def test_finite_prefix_lower_bounds():
         c_theta(FinitePrefix((5, 3)))
     with pytest.raises(ValueError):
         c_theta(golden, budget=1)
+
+
+def test_c_theta_on_a_prefix_matches_the_refolding_oracle():
+    # even quotients from a set with common factors, so that the folded gcds
+    # exceed 1; budgets on both sides of the prefix's depth, odd and even
+    rng = random.Random(35)
+    raised, seen = [], set()
+    for _ in range(600):
+        a0 = rng.randint(-6, 6)
+        theta = FinitePrefix([a0] + [rng.choice((1, 2, 3, 4, 6, 12, 30)) for _ in range(rng.randint(0, 59))])
+        budget = rng.randint(2, 70)
+        try:
+            c_values, last = c_theta_by_refolding(theta, budget)
+        except PrecisionExhausted as expected:
+            with pytest.raises(PrecisionExhausted) as got:
+                c_theta(theta, budget)
+            assert (str(got.value), got.value.needed_depth) == (str(expected), expected.needed_depth)
+            raised.append(theta.available_depth())
+            continue
+        assert c_theta(theta, budget).to_dict() == {
+            "type": "CThetaReport",
+            "theta": str(theta),
+            "c_values": [[i, c] for (i, c) in c_values],
+            "status": {"type": "LowerBoundOnly", "last": last},
+        }, (theta, budget)
+        seen.add((min(theta.available_depth(), budget) % 2, last > 1, a0 <= 0))
+    assert raised and max(raised) == 1
+    assert seen == set(itertools.product((0, 1), (False, True), (False, True)))
 
 
 # -- d chain ------------------------------------------------------------------
