@@ -68,81 +68,60 @@ class CThetaReport(Value):
 # -- the c invariant ---------------------------------------------------------
 
 
-def _tail_gcd(theta: EventuallyPeriodic, start: int) -> int:
-    """gcd of a_j over even steps j = start, start+2, … (infinite tail).
-
-    The steps inside the preperiod are folded, then one period of the
-    even-step orbit past it, which covers every later step.
-    """
-    steps = max(0, (len(theta.preperiod) - start + 1) // 2) + len(theta.period)
-    return math.gcd(*(theta.quotient(j) for j in range(start, start + 2 * steps, 2)))
-
-
 def c_theta(theta: IrrationalNumber, budget: int = 64) -> CThetaReport:
     """The chain c_i = gcd(q_{2i}, a_{2i+2}, a_{2i+4}, …) and its limit.
 
     The report holds the pairs (i, c_i) and a status, Stabilized(c) or
     LowerBoundOnly(last), and is built once the chain is complete.
 
-    EventuallyPeriodic input always stabilises: past the preperiod the tail
-    gcd is a fixed A (one full cycle of even-index period quotients) that
-    divides every even-index quotient, so q_{2i} mod A and hence
-    c_i = gcd(q_{2i}, A) are constant there.  The chain lists the preperiod
+    The tail gcds G_i = gcd(a_{2i+2}, a_{2i+4}, …) are folded once, backward
+    from the last listed entry: G_i = gcd(a_{2i+2}, G_{i+1}) and
+    c_i = gcd(q_{2i}, G_i).  The fold starts from one of two tails.
+
+    EventuallyPeriodic input starts from A, the gcd of one full cycle of
+    even-index period quotients past the preperiod, and always stabilises:
+    A divides every even-index quotient there, so q_{2i} mod A and hence
+    c_i = gcd(q_{2i}, A) are constant.  The chain lists the preperiod
     entries, then that constant once per step of the cycle of states
     (period phase, q_{2i} mod A, q_{2i+1} mod A), whose length is found in
     closed form, plus the entry where the first state repeats.
 
-    FinitePrefix input folds quotients up to a common cutoff and reports
-    LowerBoundOnly: the true c_i divides each reported value (deeper
-    quotients can only shrink a gcd), so no limit is claimed — the report is
-    divisibility-chain evidence only.
+    FinitePrefix input starts from G = 0 at the cutoff min(available depth,
+    budget) and reports LowerBoundOnly: the true c_i divides each reported
+    value (deeper quotients can only shrink a gcd), so no limit is claimed —
+    the report is divisibility-chain evidence only.  Entries that would fold
+    no quotient at all (bare q_{2i}) are not evidence and are omitted.
     """
     if budget < 2:
         raise ValueError("budget must be >= 2")
-    c_values = []
-
     if isinstance(theta, EventuallyPeriodic):
-        n0 = len(theta.preperiod)
+        n = (len(theta.preperiod) + 1) // 2  # entries inside the preperiod
         ell = len(theta.period)
-        i = 0
-        while 2 * i < n0:
-            _, q2i = theta.convergent_pair(2 * i)
-            c_values.append((i, math.gcd(q2i, _tail_gcd(theta, 2 * i + 2))))
-            i += 1
         # Past the preperiod A divides every a_{2i+2}, so q_{2i+2} ≡ q_{2i}
         # ≡ Q (mod A) and c_i = gcd(Q, A) from here on, while q_{2i+1} mod A
         # steps by Q·a_{2i+3}.  The state (phase, q_{2i} mod A, q_{2i+1}
         # mod A) therefore first returns after L = ℓ·A / gcd(A, Q·S) steps,
         # S being the sum of the odd-index quotients over one period, and the
         # chain lists that cycle once, closing with its repeated entry.
-        A = _tail_gcd(theta, 2 * i + 2)
-        Q = theta.convergent_pair(2 * i)[1] % A
-        S = sum(theta.quotient(2 * j + 3) for j in range(i, i + ell))
+        A = math.gcd(*(theta.quotient(2 * j + 2) for j in range(n, n + ell)))
+        Q = theta.convergent_pair(2 * n)[1] % A
+        S = sum(theta.quotient(2 * j + 3) for j in range(n, n + ell))
         c = math.gcd(Q, A)
         L = ell * A // math.gcd(A, Q * S)
-        c_values.extend((j, c) for j in range(i, i + L + 1))
-        return CThetaReport(theta, c_values, Stabilized(c))
-
-    # Finite prefix: fold everything available up to the budget.  Entries
-    # that would fold no quotient at all (bare q_{2i}) are not evidence and
-    # are omitted.
-    cutoff = min(theta.available_depth(), budget)
-    top_even = cutoff - (cutoff % 2)
-    if top_even < 2:
-        raise PrecisionExhausted(
-            "need at least the quotient a2 to fold a gcd", needed_depth=3
-        )
-    last = None
-    i = 0
-    while 2 * i + 2 <= top_even:
-        _, q2i = theta.convergent_pair(2 * i)
-        g = q2i
-        for j in range(2 * i + 2, top_even + 1, 2):
-            g = math.gcd(g, theta.quotient(j))
-        c_values.append((i, g))
-        last = g
-        i += 1
-    return CThetaReport(theta, c_values, LowerBoundOnly(last))
+        tail, g = [(j, c) for j in range(n, n + L + 1)], A
+    else:
+        n = min(theta.available_depth(), budget) // 2
+        if n < 1:
+            raise PrecisionExhausted(
+                "need at least the quotient a2 to fold a gcd", needed_depth=3
+            )
+        tail, g = [], 0
+    head = []
+    for i in range(n - 1, -1, -1):
+        g = math.gcd(theta.quotient(2 * i + 2), g)
+        head.append((i, math.gcd(theta.convergent_pair(2 * i)[1], g)))
+    status = Stabilized(tail[0][1]) if tail else LowerBoundOnly(head[0][1])
+    return CThetaReport(theta, head[::-1] + tail, status)
 
 
 def d_chain(theta: IrrationalNumber, n: int) -> list:
@@ -303,8 +282,8 @@ def construct_special_theta(
     with P_fresh the smallest prime not dividing q_{2k}·q_{2k+1} (searched
     up to 10**6; PrimePickerExhausted past it).  Then every
     prime of q_{2k} divides a_{2k+2} exactly once and P_fresh | q_{2k+2},
-    so gcd(q_{2k+2·j}-chains gain one new prime per step.  Odd quotients are
-    1 (any positive value works).
+    so one fresh prime joins q_{2k+2} per step.  Odd quotients are 1 (any
+    positive value works).
 
     depth counts constructed steps: depth 0 returns just the seed.
     """
