@@ -47,6 +47,7 @@ from fareyslopes.sheaves import (
     PLUS,
     LimitObjectDescriptor,
     StableClass,
+    endo_dim_bound,
     farey_type_image,
     hom_classify,
     kclass_colimit_check,
@@ -265,17 +266,20 @@ _ROWS = {
 
 # The functions checked apart from the rows, with the test that checks each.
 _COVERED_ELSEWHERE = {
+    "slope_lt": "test_finite_prefix_matches_or_exhausts",
     "bottom": "test_finite_prefix_matches_or_exhausts",
     "cutting_sequence": "test_finite_prefix_matches_or_exhausts",
     "semiconvergents": "test_finite_prefix_matches_or_exhausts",
     "roller_coaster": "test_finite_prefix_matches_or_exhausts",
     "farey_diagram": "test_finite_prefix_diagrams_and_products",
     "theta_product": "test_finite_prefix_diagrams_and_products",
+    "hom_classify": "test_finite_prefix_sheaves_match_or_exhaust",
     "farey_type_image": "test_finite_prefix_sheaves_match_or_exhaust",
     "kclass_colimit_check": "test_finite_prefix_sheaves_match_or_exhaust",
     "witness_image_chain": "test_finite_prefix_sheaves_match_or_exhaust",
     "bounded_quotients": "test_invariants.py::test_bounded_quotients_needed_depth_answers",
     "c_theta": "test_finite_prefix_entry_points_match_or_exhaust, as bounds only",
+    "endo_dim_bound": "test_finite_prefix_entry_points_match_or_exhaust, as bounds only",
 }
 
 
@@ -302,10 +306,25 @@ def test_finite_prefix_entry_points_match_or_exhaust(pair, n, data):
     # c_theta folds a prefix's quotients into bounds only: each is a multiple
     # of the true c_i, which past the entries the full report lists is its limit
     full = c_theta(x)
+    exact = lambda i: dict(full.c_values).get(i, full.status.c)
     report = _answer_from_prefixes(c_theta, (x,), (n,))
     assert isinstance(report.status, LowerBoundOnly)
     for i, bound in report.c_values:
-        assert bound % dict(full.c_values).get(i, full.status.c) == 0
+        assert bound % exact(i) == 0
+    # endo_dim_bound on a prefix says only what those bounds and the known
+    # quotients can: nothing stabilises, and a quotient above 2 past a0
+    # refutes the bound by two, which no prefix certifies
+    endo = _answer_from_prefixes(lambda t: endo_dim_bound(LimitObjectDescriptor(t, MINUS)), (x,), (n,))
+    assert (endo.stabilized, endo.c, endo.bound, endo.dim_candidates) == (False, None, None, None)
+    for i, bound in enumerate(endo.chain):
+        assert bound % exact(i) == 0
+    assert endo.bounded_by_two is (False if max(endo.theta.quotients[1:]) > 2 else None)
+
+
+# The annotations that name a slope, alone or inside another value: a Slope is
+# a slope or a fraction, a LimitObjectDescriptor holds one, and a HomEnd may be
+# a LimitObjectDescriptor.
+_SLOPE_TYPES = ("IrrationalNumber", "Slope", "LimitObjectDescriptor", "HomEnd")
 
 
 def test_every_slope_taking_entry_point_has_a_row():  # guard
@@ -314,7 +333,7 @@ def test_every_slope_taking_entry_point_has_a_row():  # guard
         for names in fareyslopes._PUBLIC.values()
         for name in names.split()
         if inspect.isfunction(fn := getattr(fareyslopes, name))
-        and any("IrrationalNumber" in str(p.annotation) for p in inspect.signature(fn).parameters.values())
+        and any(kind in str(p.annotation) for p in inspect.signature(fn).parameters.values() for kind in _SLOPE_TYPES)
     }
     rows = set(_ROWS) | set(_COVERED_ELSEWHERE)
     assert sorted(takes_slope - rows) == []  # a slope-taking function without a row
