@@ -1,8 +1,31 @@
 """Brute-force reference implementations the real code is tested against.
 
 Everything here trades speed for obviousness: exhaustive scans, literal
-sweeps, and direct lattice counting.  None of it imports the modules under
-test beyond the two leaf types (fractions and the exact comparators).
+sweeps, and direct lattice counting.  At module level it imports only the
+slope types, exact comparators and slope checks of `cfrac`, the leaf
+modules `errors` and `exact`, and sympy's `factorint`.
+
+Most oracles import nothing more, so they are independent of the library
+code they check: `random_theta`, `special_conditions_by_factoring`,
+`simplest_between`, the lattice-point counts, `farey_neighbor_pairs`,
+`mediant_generated_triangles`, the cutting walks (`cutting_runs_descent`,
+`base_edge_descent`, `cutting_runs_expected`), `edge_search_walk`,
+`c_theta_by_state_cycle` and `c_theta_by_refolding`.
+
+Nine import a library module inside their bodies and replay one of its
+primitives, so they check the rest of an answer given that primitive, not
+the primitive itself:
+- `pair_scan_triangles` builds `sheaves.StableClass`, only so that its
+  list compares with the library's directly;
+- `reference_diagram` and `theta_product_by_walk` take their start edge
+  from `farey.left_right_vertices`;
+- `left_right_vertices_by_correction` takes the width from
+  `lattice.theta_norm` and steps `lattice.ThetaLatticeElement`s;
+- `game_rest_positions`, `division_points_sorted`, `locate_descent` and
+  `cover_recursive` split pieces with `division.divide` (and start from
+  `division.root_interval`, or take it as given);
+- `witness_by_two_ended_search` reads `cfrac.bottom` and
+  `farey.farey_diagram`, and builds the `sheaves` chain types.
 """
 
 import itertools
