@@ -9,8 +9,8 @@ that cannot be written, 3 when a finite quotient prefix runs out of depth —
 the needed depth is printed to stderr so the caller knows how much more to
 supply.  Outputs that double per level (divide tree and points, farey tree,
 render svg tree and tessellation) take a --depth of at most 16; `divide
-points` then prints 65 537 points (5 MB), and `cf semiconvergents` prints no
-row longer than that.
+points` then prints 65 537 points (5 MB).  A `cf semiconvergents` row or a
+`render svg coaster` grid side longer than that exits 2 before it is built.
 
 This module imports only what the cf group uses (errors, exact, cfrac and
 invariants).  Every other handler imports its modules when it runs: farey

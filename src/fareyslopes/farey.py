@@ -18,7 +18,6 @@ no sign test per triangle.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Literal, Optional
 
 from .cfrac import (
@@ -265,7 +264,9 @@ class FareyDiagram(Value):
     division vertices by side as (index, fraction) pairs; the left side is
     the arc approaching theta from above.  Rational diagrams index from 1;
     two-ended irrational diagrams index the shared base edge 0 and count
-    negatives away from theta.
+    negatives away from theta.  A rational diagram's labels are spines of
+    the division tree: the n-th left label is the far end's first child
+    (`left_right_vertices`) taken n times, the n-th right its second.
     """
 
     __slots__ = ("theta", "far", "triangles", "left_labels", "right_labels")
@@ -586,45 +587,39 @@ def shortest_path_bundle(
     exists only if start < end (and both are coaster vertices); raises
     NoPath otherwise.
 
-    The shortest path is unique, so counting them checks an invariant: the
-    vertices below theta form one chain and those above another, edges
-    within a chain join neighbours, and every other edge crosses theta
-    upward.  A path thus climbs the lower chain, crosses once and climbs the
-    upper one; along the strip each crossing edge moves one end one step, so
-    the usable crossings form a tail on which the path length strictly grows.
+    Vertices of even family index lie below theta and those of odd index
+    above; each side is a chain in ``family_index`` order (climbing below
+    theta, descending above).  Edges within a chain join neighbours, and the
+    rest cross theta upward in a strip from (beta_0, 1/0), each moving one
+    end of the last one step.  A path climbs the lower chain, crosses once
+    and climbs the upper one; the crossings at or past start and end form a
+    tail of the strip on which the path length strictly grows, so the
+    unique shortest path takes its first.
     """
     if start not in rc.family_index or end not in rc.family_index:
         raise NoPath(f"{start} or {end} is not a vertex of this roller coaster")
     if start == end:
         return []
-    successors: dict = {}
-    for a, b in rc.edge_table:
-        successors.setdefault(a, []).append(b)
-    dist = {start: 0}
-    ways = {start: 1}
-    parent = {}
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        if v == end:
-            break
-        for w in successors.get(v, ()):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                ways[w] = ways[v]
-                parent[w] = v
-                q.append(w)
-            elif dist[w] == dist[v] + 1:
-                ways[w] += ways[v]
-    if end not in dist:
+    if not start < end:
         raise NoPath(f"no directed path from {start} to {end}")
-    if ways[end] != 1:
-        raise AssertionError("shortest path is not unique")
-    path: list[ReducedFraction] = []
-    v = end
-    while v != start:
-        u = parent[v]
-        path.append(rc.edge_table[u, v][0])  # edges point up, so u < v
-        v = u
-    path.reverse()
-    return path
+    chains: tuple[list, list] = ([], [])  # below theta, above theta
+    for v, (i, _) in rc.family_index.items():
+        chains[i % 2].append(v)
+    lower, upper = chains
+    start_side, end_side = rc.family_index[start][0] % 2, rc.family_index[end][0] % 2
+    s, e = chains[start_side].index(start), chains[end_side].index(end)
+    if end_side == 0:
+        walk = lower[s:e + 1]
+    elif start_side == 1:
+        walk = upper[e:s + 1][::-1]
+    else:
+        a = b = 0
+        while a < s or b < e:  # the next crossing shares upper[b] exactly when it is lower[a + 1]'s neighbour
+            if a + 1 < len(lower) and lower[a + 1].is_farey_neighbor(upper[b]):
+                a += 1
+            elif b + 1 < len(upper):
+                b += 1
+            else:
+                raise NoPath(f"no directed path from {start} to {end}")
+        walk = lower[s:a + 1] + upper[e:b + 1][::-1]
+    return [rc.edge_table[u, v][0] for u, v in zip(walk, walk[1:])]

@@ -718,11 +718,17 @@ def witness_image_chain(
     Farey neighbours x < y has denominator >= q_x + q_y, so no Farey edge
     crosses l_0: the line below l_0 is the upper-arc labels of theta's
     diagram with far end l_0, and above it the lower-arc labels of
-    theta_prime's, both numbered by level from 1.  Both tend to their slopes
-    with growing denominators, so the depth doubles from 1 until a level
-    qualifies; on a FinitePrefix a diagram raises PrecisionExhausted.
+    theta_prime's, both numbered by level from 1.  These are spines of the
+    division tree (see `FareyDiagram`): if T is the last triangle of the
+    diagram of a fraction x with x's child l1 as a vertex, l1's diagram is
+    the tail of x's from T, and T's other two vertices are l1's children,
+    so the labels on each arc past l1 are l1's own labels on that arc.  Both
+    spines tend to their slopes with growing denominators, so each level
+    takes one first child under theta and one second child under
+    theta_prime until a level qualifies; on a FinitePrefix,
+    `left_right_vertices` raises PrecisionExhausted.
     """
-    from .farey import farey_diagram
+    from .farey import left_right_vertices
 
     if not slope_lt(theta, theta_prime):
         raise ValueError("need theta < theta_prime")
@@ -732,15 +738,12 @@ def witness_image_chain(
     ):
         raise ValueError("need theta < r < theta_prime")
 
-    base = bottom(theta, theta_prime)
-    depth, found = 1, None
-    while found is None:
-        below = farey_diagram(theta, base, depth).left_labels
-        above = farey_diagram(theta_prime, base, depth).right_labels
-        found = next(((n, lo, hi) for (n, lo), (_, hi) in zip(below, above)
-                      if lo < r < hi and lo.q > r.q and hi.q > r.q), None)
-        depth *= 2
-    level, lo, hi = found
+    level, lo = 0, bottom(theta, theta_prime)
+    hi = lo
+    while not (lo < r < hi and lo.q > r.q and hi.q > r.q):  # false at level 0, where lo = hi
+        level += 1
+        lo = left_right_vertices(theta, lo)[0]
+        hi = left_right_vertices(theta_prime, hi)[1]
 
     src = LimitObjectDescriptor(theta, PLUS)
     dst = LimitObjectDescriptor(theta_prime, MINUS)

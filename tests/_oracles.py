@@ -10,7 +10,8 @@ code they check: `random_theta`, `special_conditions_by_factoring`,
 `simplest_between`, the lattice-point counts, `farey_neighbor_pairs`,
 `mediant_generated_triangles`, the cutting walks (`cutting_runs_descent`,
 `base_edge_descent`, `cutting_runs_expected`), `edge_search_walk`,
-`c_theta_by_state_cycle` and `c_theta_by_refolding`.
+`c_theta_by_state_cycle`, `c_theta_by_refolding` and
+`shortest_path_by_bfs`.
 
 Nine import a library module inside their bodies and replay one of its
 primitives, so they check the rest of an answer given that primitive, not
@@ -31,6 +32,7 @@ the primitive itself:
 import itertools
 import math
 import random
+from collections import deque
 
 from sympy import factorint
 
@@ -44,7 +46,7 @@ from fareyslopes.cfrac import (
     compare_irrationals,
     compare_theta_rational,
 )
-from fareyslopes.errors import PrecisionExhausted
+from fareyslopes.errors import NoPath, PrecisionExhausted
 from fareyslopes.exact import ReducedFraction
 
 
@@ -676,3 +678,40 @@ def witness_by_two_ended_search(theta: IrrationalNumber, theta_prime: Irrational
                     )
                     return WitnessChain(theta, theta_prime, r, n, (src, o_lo, o_r, o_hi, dst), arrows)
         depth *= 2
+
+
+# -- the coaster path by breadth-first search -------------------------------
+
+
+def shortest_path_by_bfs(rc, start: ReducedFraction, end: ReducedFraction):
+    """`farey.shortest_path_bundle` by breadth-first search over the
+    coaster's directed edges, counting shortest paths to check that the one
+    it returns is unique."""
+    if start not in rc.family_index or end not in rc.family_index:
+        raise NoPath(f"{start} or {end} is not a vertex of this roller coaster")
+    if start == end:
+        return []
+    successors: dict = {}
+    for a, b in rc.edge_table:
+        successors.setdefault(a, []).append(b)
+    dist, ways, parent = {start: 0}, {start: 1}, {}
+    q = deque([start])
+    while q:
+        v = q.popleft()
+        if v == end:
+            break
+        for w in successors.get(v, ()):
+            if w not in dist:
+                dist[w], ways[w], parent[w] = dist[v] + 1, ways[v], v
+                q.append(w)
+            elif dist[w] == dist[v] + 1:
+                ways[w] += ways[v]
+    if end not in dist:
+        raise NoPath(f"no directed path from {start} to {end}")
+    if ways[end] != 1:
+        raise AssertionError("shortest path is not unique")
+    path, v = [], end
+    while v != start:
+        path.append(rc.edge_table[parent[v], v][0])  # edges point up, so parent < v
+        v = parent[v]
+    return path[::-1]

@@ -32,6 +32,7 @@ from _oracles import (
     boundary_lattice_points,
     left_right_vertices_by_correction,
     random_theta,
+    shortest_path_by_bfs,
     simplest_between,
 )
 
@@ -134,6 +135,27 @@ def _outcome(fn, theta, r):
 def test_left_right_vertices_matches_correction_oracle(case):
     theta, r = case
     assert _outcome(left_right_vertices, theta, r) == _outcome(left_right_vertices_by_correction, theta, r)
+
+
+def test_diagram_labels_are_the_division_spines():
+    # the upper-arc labels of r's diagram are r's iterated first children,
+    # the lower-arc labels its iterated second children; the witness line
+    # in sheaves is read off these spines
+    rng = random.Random(36)
+
+    def quotients(k):
+        return [rng.randint(1, 9) if rng.random() < 0.7 else rng.randint(1, 10**4) for _ in range(k)]
+
+    for _ in range(300):
+        theta = EventuallyPeriodic([rng.randint(-6, 6)] + quotients(rng.randint(0, 5)), quotients(rng.randint(1, 3)))
+        r = INFINITY if rng.random() < 0.2 else F(rng.randint(-400, 400), rng.randint(1, 60))
+        diagram = farey_diagram(theta, r, rng.randint(1, 40))
+        for side, labels in enumerate((diagram.left_labels, diagram.right_labels)):
+            spine, v = [], r
+            for n in range(1, len(labels) + 1):
+                v = left_right_vertices(theta, v)[side]
+                spine.append((n, v))
+            assert labels == spine
 
 
 def test_left_right_vertices_with_integer_bracket_ends():
@@ -589,6 +611,26 @@ def test_shortest_path_bundle():
         shortest_path_bundle(rc3, F(8, 5), F(1, 1))  # edges point upward
     with pytest.raises(NoPath):
         shortest_path_bundle(rc3, F(1, 7), F(8, 5))  # not a vertex
+
+
+def test_shortest_path_bundle_matches_bfs_oracle():
+    rng = random.Random(36)
+    for _ in range(400):
+        theta = EventuallyPeriodic([rng.randint(0, 6)] + [rng.randint(1, 5) for _ in range(rng.randint(0, 2))],
+                                   [rng.randint(1, 5) for _ in range(rng.randint(1, 3))])
+        rc = roller_coaster(theta, rng.randint(1, 5))
+        vertices = rc.vertices + [F(1, 7)]  # 1/7 is off every coaster: a0 >= 1 after translation
+        for _ in range(30):
+            start, end = rng.choice(vertices), rng.choice(vertices)
+            got, want = (_path_outcome(fn, rc, start, end) for fn in (shortest_path_bundle, shortest_path_by_bfs))
+            assert got == want
+
+
+def _path_outcome(fn, rc, start, end):
+    try:
+        return fn(rc, start, end)
+    except NoPath as exc:
+        return "NoPath", str(exc)
 
 
 def test_coaster_edges_and_triangle_str():

@@ -422,10 +422,22 @@ def test_witness_level_of_a_deep_convergent():
     assert witness_image_chain(sqrt2, golden, F(3363, 2378)).level == 9
 
 
-def test_witness_matches_the_two_ended_search():
-    rng = random.Random(32)
+@pytest.mark.parametrize("a", [10, 10**3, 10**6, 10**9])
+def test_witness_level_past_long_runs_of_theta_prime(a):
+    # l_-n = 1/(n+1) sets the level; from l_0 = 1/1, each label l_n past 3/1 lies a run of a triangles past l_{n-1}
+    theta, theta_prime = EventuallyPeriodic((0, 40), (2,)), EventuallyPeriodic((3,), (a, 1))
+    start = time.perf_counter()
+    chain = witness_image_chain(theta, theta_prime, F(1, 9))
+    assert time.perf_counter() - start < 0.1
+    lo, hi = chain.nodes[1], chain.nodes[3]
+    assert chain.level == 9
+    assert lo.degree * 9 < lo.rank and hi.degree * 9 > hi.rank
+    assert lo.rank > 9 and hi.rank > 9
+
+
+def _witness_against_two_ended_search(rng, slope):
     for _ in range(300):
-        x, y = random_theta(rng, 0, 2), random_theta(rng, 0, 2)  # quotients up to 4
+        x, y = slope(rng), slope(rng)
         if _slopes_equal(x, y):
             continue
         lo, hi = (x, y) if slope_lt(x, y) else (y, x)
@@ -436,6 +448,18 @@ def test_witness_matches_the_two_ended_search():
         r = rng.choice(line)
         want = witness_by_two_ended_search(lo, hi, r).to_dict()
         assert json.dumps(witness_image_chain(lo, hi, r).to_dict()) == json.dumps(want)
+
+
+def test_witness_matches_the_two_ended_search():
+    _witness_against_two_ended_search(random.Random(32), lambda rng: random_theta(rng, 0, 2))  # quotients up to 4
+
+
+def test_witness_matches_the_two_ended_search_on_wide_slopes():
+    def slope(rng):  # a0 in [-6, 6], quotients up to 40
+        quotients = lambda k: [rng.randint(1, 40) for _ in range(k)]
+        return EventuallyPeriodic([rng.randint(-6, 6)] + quotients(rng.randint(0, 3)), quotients(rng.randint(1, 3)))
+
+    _witness_against_two_ended_search(random.Random(36), slope)
 
 
 # -- multiplicities -------------------------------------------------------------------
